@@ -242,7 +242,7 @@ def _suite_expansions(args):
            all(partial.entry(i, i).constant_value() for i in (1, 2))
            and partial.entry(1, 2).is_zero())
     det0 = sym_det(generic_sym_matrix(2, level=0))
-    record("initial-form-det", initial_form_identity_check(det0, 1, 2, 2))
+    record("initial-form-det", initial_form_identity_check(det0, 2))
     return checks
 
 

@@ -1,18 +1,17 @@
 """Conjugation-invariant theory: trace words, the wedge-commutant
 polynomial, adjugate-product tuples, and Jacobian-rank certificates.
 
-Numeric helpers work over exact rationals or a prime field; symbolic
-constructions reuse the sparse polynomial matrices from :mod:`multipoly`.
+Numeric and symbolic constructions share the cofactor kernels of
+:mod:`multipoly`, which work over any exact commutative ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .exact_linalg import ExactMatrix, rank
-from .multipoly import MatrixPoly, MultiPoly, charpoly_coeffs, \
-    generic_sym_matrix, adjugate
+from .multipoly import MatrixPoly, MultiPoly, _det_rows, adjugate, \
+    charpoly_coeffs, generic_sym_matrix, wedge_power
 from .quad_invariants import binary_discriminant
 
 
@@ -20,69 +19,18 @@ from .quad_invariants import binary_discriminant
 # numeric matrix helpers (lists of scalars)
 # ---------------------------------------------------------------------------
 
-def _mat_mul(A, B, field=None):
+def _mat_mul(A, B):
     g = len(A)
-    out = [[sum(A[i][k] * B[k][j] for k in range(g)) for j in range(g)]
-           for i in range(g)]
-    if field is not None:
-        out = [[x % field for x in row] for row in out]
-    return out
-
-
-def _num_det(rows, field=None):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0] % field if field is not None else rows[0][0]
-    total = 0
-    for i in range(n):
-        if not rows[i][0]:
-            continue
-        minor = [r[1:] for k, r in enumerate(rows) if k != i]
-        term = rows[i][0] * _num_det(minor, field)
-        total = total + term if i % 2 == 0 else total - term
-    return total % field if field is not None else total
-
-
-def _num_adjugate(M, field=None):
-    g = len(M)
-    out = [[0] * g for _ in range(g)]
-    for i in range(g):
-        for j in range(g):
-            minor = [[M[r][c] for c in range(g) if c != j]
-                     for r in range(g) if r != i]
-            cof = _num_det(minor, field) if minor else 1
-            if (i + j) % 2:
-                cof = -cof
-            out[j][i] = cof % field if field is not None else cof
-    return out
+    return [[sum(A[i][k] * B[k][j] for k in range(g)) for j in range(g)]
+            for i in range(g)]
 
 
 def _num_inverse(M):
-    det = _num_det(M)
+    det = _det_rows(M)
     if det == 0:
         raise ZeroDivisionError("matrix is singular")
-    adj = _num_adjugate(M)
+    adj = adjugate(MatrixPoly(M)).rows
     return [[Fraction(x, 1) / det for x in row] for row in adj]
-
-
-def _num_wedge(M, q, field=None):
-    g = len(M)
-    subsets = list(combinations(range(g), q))
-    out = []
-    for S in subsets:
-        row = []
-        for T in subsets:
-            row.append(_num_det([[M[r][c] for c in T] for r in S], field))
-        out.append(row)
-    return out
-
-
-def _principal_minor_sum(M, j, field=None):
-    g = len(M)
-    total = 0
-    for S in combinations(range(g), j):
-        total += _num_det([[M[r][c] for c in S] for r in S], field)
-    return total % field if field is not None else total
 
 
 # ---------------------------------------------------------------------------
@@ -101,22 +49,24 @@ def trace_word(j: int, word, mats):
     P = [[1 if a == b else 0 for b in range(g)] for a in range(g)]
     for w in word:
         P = _mat_mul(P, mats[w])
-    return _principal_minor_sum(P, j)
+    return charpoly_coeffs(MatrixPoly(P))[j]
 
 
 def phi_q(M0, M1, q: int, field=None):
-    """Determinant of the commutator of the q-th exterior powers."""
-    A = _num_wedge(M0, q, field)
-    B = _num_wedge(M1, q, field)
-    AB = _mat_mul(A, B, field)
-    BA = _mat_mul(B, A, field)
-    C = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(AB, BA)]
-    return _num_det(C, field)
+    """Determinant of the commutator of the q-th exterior powers, reduced
+    mod ``field`` when one is given (the entries are then integers)."""
+    A = wedge_power(MatrixPoly(M0), q).rows
+    B = wedge_power(MatrixPoly(M1), q).rows
+    AB = _mat_mul(A, B)
+    BA = _mat_mul(B, A)
+    det = _det_rows([[a - b for a, b in zip(r1, r2)]
+                     for r1, r2 in zip(AB, BA)])
+    return det % field if field is not None else det
 
 
 def pi_n(Qs):
     """Adjugate-product tuple: (Q_0 Q_1*, Q_1 Q_2*, ..., Q_(n-1) Q_n*)."""
-    return [_mat_mul(Qs[i], _num_adjugate(Qs[i + 1]))
+    return [_mat_mul(Qs[i], adjugate(MatrixPoly(Qs[i + 1])).rows)
             for i in range(len(Qs) - 1)]
 
 

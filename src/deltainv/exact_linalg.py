@@ -43,34 +43,28 @@ class ExactMatrix:
         return v
 
     def _int_rows(self):
-        """Rows cleared of denominators, as (integer dict, scale) pairs."""
+        """Rows cleared of denominators, as integer dicts."""
         out = []
         for row in self.rows:
             den = 1
             for v in row.values():
                 if isinstance(v, Fraction):
                     den = den * v.denominator // gcd(den, v.denominator)
-            out.append(({j: int(v * den) for j, v in row.items()}, den))
+            out.append({j: int(v * den) for j, v in row.items()})
         return out
 
 
-def _eliminate(matrix: ExactMatrix, aug=None):
+def _eliminate(matrix: ExactMatrix):
     """Sparse Gaussian elimination.
 
-    Returns (pivots, rows, aug_vals) where pivots is the list of
-    (column, row_index) in selection order, rows maps row_index to its final
-    sparse content, and aug_vals maps row_index to its augmented entry.
+    Returns (pivots, rows) where pivots is the list of (column, row_index)
+    in selection order and rows maps row_index to its final sparse content.
     """
     field = matrix.field
     if field is None:
-        cleared = matrix._int_rows()
-        rows = {i: dict(r) for i, (r, _) in enumerate(cleared)}
-        augmented = {i: (aug[i] * den if aug is not None else 0)
-                     for i, (_, den) in enumerate(cleared)}
+        rows = dict(enumerate(matrix._int_rows()))
     else:
         rows = {i: dict(r) for i, r in enumerate(matrix.rows)}
-        augmented = {i: (aug[i] if aug is not None else 0)
-                     for i in range(len(matrix.rows))}
 
     # column -> set of active row indices with a nonzero entry there
     col_rows: dict = {}
@@ -127,18 +121,13 @@ def _eliminate(matrix: ExactMatrix, aug=None):
                     for j in row:
                         if j not in prow:
                             row[j] *= mp
-                augmented[i] = augmented[i] * mp - augmented[pr] * mf
                 if row:
                     g = 0
                     for v in row.values():
                         g = gcd(g, v)
-                    if isinstance(augmented[i], Fraction) or augmented[i]:
-                        g = 1 if isinstance(augmented[i], Fraction) else \
-                            gcd(g, augmented[i])
                     if g > 1:
                         for j in row:
                             row[j] //= g
-                        augmented[i] //= g
             else:
                 mul = factor * pow(pval, -1, field) % field
                 for j, v in prow.items():
@@ -152,18 +141,17 @@ def _eliminate(matrix: ExactMatrix, aug=None):
                     elif nv:
                         row[j] = nv
                         col_rows.setdefault(j, set()).add(i)
-                augmented[i] = (augmented[i] - mul * augmented[pr]) % field
-    return pivots, rows, augmented
+    return pivots, rows
 
 
 def rank(matrix: ExactMatrix) -> int:
-    pivots, _, _ = _eliminate(matrix)
+    pivots, _ = _eliminate(matrix)
     return len(pivots)
 
 
 def kernel_basis(matrix: ExactMatrix):
     """Basis of the right kernel, one vector per free column."""
-    pivots, rows, _ = _eliminate(matrix)
+    pivots, rows = _eliminate(matrix)
     field = matrix.field
     pivot_cols = {pc for pc, _ in pivots}
     free_cols = [j for j in range(matrix.ncols) if j not in pivot_cols]
@@ -186,27 +174,3 @@ def kernel_basis(matrix: ExactMatrix):
         basis.append([x.get(j, 0) for j in range(matrix.ncols)])
     return basis
 
-
-def solve(matrix: ExactMatrix, b):
-    """One solution of A x = b, or None if the system is inconsistent."""
-    field = matrix.field
-    if field is not None:
-        b = [v % field for v in b]
-    pivots, rows, augmented = _eliminate(matrix, aug=list(b))
-    pivot_rows = {pr for _, pr in pivots}
-    for i, row in rows.items():
-        if i not in pivot_rows and not row and augmented[i]:
-            return None
-    x = {}
-    for pc, pr in reversed(pivots):
-        row = rows[pr]
-        acc = augmented[pr]
-        for j, v in row.items():
-            if j != pc and j in x:
-                acc = acc - v * x[j]
-        if field is None:
-            val = Fraction(acc, row[pc])
-            x[pc] = int(val) if val.denominator == 1 else val
-        else:
-            x[pc] = acc * pow(row[pc], -1, field) % field
-    return [x.get(j, 0) for j in range(matrix.ncols)]

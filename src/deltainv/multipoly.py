@@ -51,10 +51,6 @@ def Tvar(level: int, i: int, j: int, one=1) -> "MultiPoly":
     return MultiPoly.var(VarId("T", level, min(i, j), max(i, j)), one)
 
 
-def Qvar(level: int, i: int, j: int, one=1) -> "MultiPoly":
-    return MultiPoly.var(VarId("Q", level, min(i, j), max(i, j)), one)
-
-
 def uvar(level: int, one=1) -> "MultiPoly":
     return MultiPoly.var(VarId("u", level, 0, 0), one)
 
@@ -136,6 +132,9 @@ class MultiPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def degree(self) -> int:
         if not self.terms:
@@ -400,10 +399,15 @@ def generic_matrix(g: int, level: int) -> MatrixPoly:
                         for j in range(1, g + 1)] for i in range(1, g + 1)])
 
 
-def _det_rows(rows) -> MultiPoly:
+def _det_rows(rows):
+    """Cofactor determinant of a square list of rows.
+
+    Entries may come from any commutative ring (MultiPoly, int, Fraction);
+    the result has the entries' type, and the empty matrix has determinant 1.
+    """
     n = len(rows)
     if n == 0:
-        return MultiPoly.constant(1)
+        return 1
     if n == 1:
         return rows[0][0]
     if n == 2:
@@ -411,9 +415,9 @@ def _det_rows(rows) -> MultiPoly:
     if n > 6:
         raise SizeTooLarge(f"exact determinant limited to size 6, got {n}")
     # cofactor expansion along the first column
-    total = MultiPoly.constant(0)
+    total = rows[0][0] * 0
     for i in range(n):
-        if rows[i][0].is_zero():
+        if not rows[i][0]:
             continue
         minor = [r[1:] for k, r in enumerate(rows) if k != i]
         term = rows[i][0] * _det_rows(minor)
@@ -427,12 +431,13 @@ def sym_det(M: MatrixPoly) -> MultiPoly:
 
 def adjugate(M: MatrixPoly) -> MatrixPoly:
     g = M.g
+    unit = M.rows[0][0] ** 0
     out = [[None] * g for _ in range(g)]
     for i in range(g):
         for j in range(g):
             minor = [[M.rows[r][c] for c in range(g) if c != j]
                      for r in range(g) if r != i]
-            cof = _det_rows(minor)
+            cof = _det_rows(minor) if minor else unit
             out[j][i] = cof if (i + j) % 2 == 0 else -cof
     return MatrixPoly(out)
 
@@ -442,13 +447,10 @@ def charpoly_coeffs(M: MatrixPoly):
     from itertools import combinations
 
     g = M.g
-    coeffs = [MultiPoly.constant(1)]
+    coeffs = [M.rows[0][0] ** 0]
     for j in range(1, g + 1):
-        acc = MultiPoly.constant(0)
-        for subset in combinations(range(g), j):
-            minor = [[M.rows[r][c] for c in subset] for r in subset]
-            acc = acc + _det_rows(minor)
-        coeffs.append(acc)
+        coeffs.append(sum(_det_rows([[M.rows[r][c] for c in S] for r in S])
+                          for S in combinations(range(g), j)))
     return coeffs
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
-from .exact_linalg import ExactMatrix, kernel_basis, solve
+from .exact_linalg import ExactMatrix, kernel_basis
 from .multipoly import (
     MatrixPoly,
     MultiPoly,
@@ -227,38 +227,23 @@ def xi_target(cycle) -> MultiPoly:
 
 
 def xi_lift(cycle) -> MultiPoly:
-    """The unique multilinear preimage of ``xi_target(cycle)``."""
+    """The unique multilinear preimage of ``xi_target(cycle)``.
+
+    Each level lies in exactly two brackets of the cycle, so every term of
+    the target has degree 2 in (u_l, v_l) at each level.  The rank-one map
+    sends T_11, T_12, T_22 to u^2, uv, v^2, so the preimage rewrites each
+    term level by level and keeps its coefficient.
+    """
     cycle = tuple(cycle)
     if len(set(cycle)) != len(cycle):
         raise BadLevels(f"cycle entries must be distinct, got {cycle}")
-    target = xi_target(cycle)
-    # candidate monomials: one entry variable from each level of the cycle
-    choices = [(1, 1), (1, 2), (2, 2)]
-    columns = []
-    images = []
-    for pick in itertools.product(choices, repeat=len(cycle)):
-        mono = MultiPoly.constant(1)
-        for level, (i, j) in zip(cycle, pick):
-            mono = mono * MultiPoly.var(VarId("T", level, i, j))
-        columns.append(mono)
-        images.append(jmath(mono))
-    keys = sorted({k for f in images + [target] for k in f.terms})
-    row_of = {k: idx for idx, k in enumerate(keys)}
-    A = [[0] * len(columns) for _ in keys]
-    for c, f in enumerate(images):
-        for k, coeff in f.terms.items():
-            A[row_of[k]][c] = coeff
-    b = [0] * len(keys)
-    for k, coeff in target.terms.items():
-        b[row_of[k]] = coeff
-    x = solve(ExactMatrix(A), b)
-    if x is None:
-        raise ValueError(f"no multilinear preimage for cycle {cycle}")
-    out = MultiPoly.constant(0)
-    for c, coeff in enumerate(x):
-        if coeff:
-            out = out + columns[c] * coeff
-    return out
+    entry_of = {2: (1, 1), 1: (1, 2), 0: (2, 2)}      # u-degree -> (i, j)
+    out = {}
+    for key, coeff in xi_target(cycle).terms.items():
+        u_deg = {v.level: e for v, e in key if v.family == "u"}
+        out[tuple((VarId("T", level, *entry_of[u_deg.get(level, 0)]), 1)
+                  for level in sorted(cycle))] = coeff
+    return MultiPoly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +307,11 @@ def relation_check(kind: str, indices=(0, 1, 2, 3), split=None):
             den = 1
             for v in vec:
                 if isinstance(v, Fraction):
-                    den = den * v.denominator // _gcd(den, v.denominator)
+                    den = den * v.denominator // gcd(den, v.denominator)
             ints = [int(v * den) for v in vec]
             norm = 0
             for v in ints:
-                norm = _gcd(norm, v)
+                norm = gcd(norm, v)
             ints = [v // norm for v in ints]
             if ints[0] < 0:
                 ints = [-v for v in ints]
@@ -334,11 +319,6 @@ def relation_check(kind: str, indices=(0, 1, 2, 3), split=None):
                 (c, pairs) for c, pairs in zip(ints, products)]
         return holds, witness
     raise ValueError(f"unknown relation kind: {kind}")
-
-
-def _gcd(a, b):
-    from math import gcd
-    return gcd(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +422,10 @@ def _sqrt_table(q: int):
     return table
 
 
-def _count_g3(q, alpha, beta, gamma, nu):
+def _count_g3(q, roots, alpha, beta, gamma, nu):
     rhs1 = (alpha * alpha + beta * beta + gamma * gamma) % q
     rhs2 = (beta * beta + nu * gamma * gamma) % q
     rhs3 = (alpha * beta * gamma - gamma * gamma) % q
-    roots = _sqrt_table(q)
     count = 0
     for z in range(q):
         y2 = (rhs2 - nu * z * z) % q
@@ -461,7 +440,10 @@ def _count_g3(q, alpha, beta, gamma, nu):
 def b0_count(g: int, q: int, trials: int = 100, seed=None, draw=None,
              force_zero: bool = False):
     """Solution counts on random fibres of the separating invariants."""
+    if g not in (2, 3):
+        raise ValueError("point counts implemented for sizes 2 and 3")
     rng = random.Random(seed)
+    roots = _sqrt_table(q)
     counts = []
     for _ in range(trials):
         if g == 2:
@@ -471,9 +453,8 @@ def b0_count(g: int, q: int, trials: int = 100, seed=None, draw=None,
                 d = draw * draw % q
             else:
                 d = rng.randrange(q) ** 2 % q
-            roots = _sqrt_table(q)
             counts.append(len(roots.get(d, ())))
-        elif g == 3:
+        else:
             if draw is not None:
                 alpha, beta, gamma, nu = draw
             else:
@@ -481,7 +462,5 @@ def b0_count(g: int, q: int, trials: int = 100, seed=None, draw=None,
                 beta = rng.randrange(1, q)
                 gamma = rng.randrange(1, q)
                 nu = rng.randrange(2, q)
-            counts.append(_count_g3(q, alpha, beta, gamma, nu))
-        else:
-            raise ValueError(f"point counts implemented for sizes 2 and 3")
+            counts.append(_count_g3(q, roots, alpha, beta, gamma, nu))
     return {"counts": counts, "max_count": max(counts)}

@@ -180,7 +180,7 @@ def _entrywise_log(i: int, j: int, D: int) -> MultiPoly:
     return out
 
 
-def spade(F: MultiPoly, r: int, g: int, D: int, p: int = 3) -> MultiPoly:
+def spade(F: MultiPoly, D: int, p: int = 3) -> MultiPoly:
     """Slot 0 becomes the entrywise logarithm; slot k >= 1 the rational
     (k-1)-fold twisted series."""
     rational_series = {}
@@ -197,7 +197,7 @@ def spade(F: MultiPoly, r: int, g: int, D: int, p: int = 3) -> MultiPoly:
     return substitute(F.map_coeffs(Fraction), sigma, D)
 
 
-def difference_substitution(F: MultiPoly, r: int, g: int, p: int) -> MultiPoly:
+def difference_substitution(F: MultiPoly, p: int) -> MultiPoly:
     """Replace each slot-l variable by ``p^l`` times the next-level difference."""
     sigma = {}
     for v in F.variables():
@@ -207,12 +207,12 @@ def difference_substitution(F: MultiPoly, r: int, g: int, p: int) -> MultiPoly:
     return substitute(F.map_coeffs(Fraction), sigma)
 
 
-def initial_form_identity_check(F: MultiPoly, r: int, g: int, D: int) -> bool:
+def initial_form_identity_check(F: MultiPoly, D: int) -> bool:
     """The lowest-degree form of the slot substitution of F equals F applied
     to (T, T'-T, p(T''-T'), ...), for every small prime."""
     d = F.degree()
     for p in (2, 3, 5):
-        lhs = homogeneous_component(spade(F, r, g, max(D, d), p), d)
+        lhs = homogeneous_component(spade(F, max(D, d), p), d)
         sigma = {}
         for v in F.variables():
             if v.level == 0:
@@ -232,7 +232,7 @@ def initial_form_identity_check(F: MultiPoly, r: int, g: int, D: int) -> bool:
 # cyclic word comparison
 # ---------------------------------------------------------------------------
 
-def cyclic_word_check(levels, j: int, g: int, p: int, D: int) -> dict:
+def cyclic_word_check(levels, j: int, g: int, p: int) -> dict:
     """Compare the cyclic product of basic-form expansions with the
     corresponding one-term word in the twisted matrices, modulo p.
 
@@ -244,8 +244,7 @@ def cyclic_word_check(levels, j: int, g: int, p: int, D: int) -> dict:
     adjugated.  The single-word side keeps only ``Q^(max(a, b))`` in each
     slot.  The check asserts that the two j-th characteristic-polynomial
     coefficients agree modulo p and that the single-word side is nonzero
-    modulo p.  ``D`` is accepted for interface uniformity; the computation
-    is exact and needs no degree truncation.
+    modulo p.  The computation is exact and needs no degree truncation.
     """
     levels = tuple(levels)
     if len(levels) % 2 or len(levels) < 2:

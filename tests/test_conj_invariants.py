@@ -6,6 +6,7 @@ Oracles: sympy matrix arithmetic on random integer samples.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -124,6 +125,41 @@ def test_phi_q_diagonal_cycle_pair():
                 assert phi_q(D, P, qq, field=q0) != 0
 
 
+def _sympy_wedge(M, q):
+    subsets = [list(S) for S in combinations(range(M.rows), q)]
+    return sympy.Matrix(len(subsets), len(subsets),
+                        lambda a, b: M.extract(subsets[a], subsets[b]).det())
+
+
+def test_phi_q_against_sympy_and_reduced_once():
+    rng = random.Random(909)
+    for g in (2, 3, 4):
+        for _ in range(3):
+            A = [[rng.randrange(-9, 10) for _ in range(g)] for _ in range(g)]
+            B = [[rng.randrange(-9, 10) for _ in range(g)] for _ in range(g)]
+            for q in range(1, g):
+                full = phi_q(A, B, q)
+                WA = _sympy_wedge(sympy.Matrix(A), q)
+                WB = _sympy_wedge(sympy.Matrix(B), q)
+                assert full == (WA * WB - WB * WA).det()
+                for p in (2, 101, (1 << 31) - 1):
+                    assert phi_q(A, B, q, field=p) == full % p
+
+
+def test_trace_word_keeps_integer_type():
+    rng = random.Random(910)
+    for g in (1, 2, 3):
+        mats = [[[rng.randrange(-4, 5) for _ in range(g)] for _ in range(g)]
+                for _ in range(2)]
+        prod = sympy.Matrix(mats[0]) * sympy.Matrix(mats[1])
+        # det(t - P) = sum_j (-1)^j c_j t^(g - j)
+        coeffs = prod.charpoly().all_coeffs()
+        for j in range(g + 1):
+            val = trace_word(j, (0, 1), mats)
+            assert type(val) is int
+            assert val == (-1) ** j * coeffs[j]
+
+
 # ---------------------------------------------------------------- pi_n
 
 def test_pi_n_identity_tuple():
@@ -137,6 +173,12 @@ def test_pi_n_adjugate_products():
     eye = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     out = pi_n([Q1, eye])
     assert out == [Q1]
+
+
+def test_pi_n_one_by_one_uses_the_unit_adjugate():
+    out = pi_n([[[3]], [[5]], [[7]]])
+    assert out == [[[3]], [[5]]]
+    assert type(out[0][0][0]) is int
 
 
 def test_pi_n_rescaling_invariance():

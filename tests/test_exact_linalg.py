@@ -1,13 +1,13 @@
 """Tests for exact rational / prime-field linear algebra.
 
-Oracles: hand row reduction, Cramer's rule, determinant products for
+Oracles: hand row reduction, determinant products for
 Vandermonde matrices.
 """
 
 import random
 from fractions import Fraction
 
-from deltainv.exact_linalg import ExactMatrix, kernel_basis, rank, solve
+from deltainv.exact_linalg import ExactMatrix, kernel_basis, rank
 
 
 def _matvec(rows, v, q=None):
@@ -92,45 +92,3 @@ def test_rank_prime_field_vs_rational_bound():
         rows = [[rng.randrange(-9, 10) for _ in range(4)] for _ in range(4)]
         assert rank(ExactMatrix(rows, field=10007)) <= rank(ExactMatrix(rows))
 
-
-# ---------------------------------------------------------------- solve
-
-def test_solve_identity():
-    A = ExactMatrix([[1, 0], [0, 1]])
-    assert solve(A, [5, -2]) == [5, -2]
-
-
-def test_solve_inconsistent():
-    A = ExactMatrix([[0, 0], [0, 0]])
-    assert solve(A, [1, 0]) is None
-
-
-def test_solve_cramer_oracle():
-    rng = random.Random(4)
-    for _ in range(10):
-        a, b, c, d = (rng.randrange(-5, 6) for _ in range(4))
-        det = a * d - b * c
-        if det == 0:
-            continue
-        e, f = rng.randrange(-5, 6), rng.randrange(-5, 6)
-        x = solve(ExactMatrix([[a, b], [c, d]]), [e, f])
-        assert x == [Fraction(e * d - b * f, det), Fraction(a * f - e * c, det)]
-
-
-def test_solve_resubstitutes():
-    rng = random.Random(17)
-    for _ in range(10):
-        m, n = rng.randrange(2, 5), rng.randrange(2, 5)
-        rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
-        xs = [Fraction(rng.randrange(-3, 4)) for _ in range(n)]
-        b = _matvec(rows, xs)
-        got = solve(ExactMatrix(rows), b)
-        assert got is not None
-        assert _matvec(rows, got) == b
-
-
-def test_solve_over_prime_field():
-    A = ExactMatrix([[2, 1], [1, 1]], field=5)
-    x = solve(A, [1, 0])
-    assert x is not None
-    assert _matvec([[2, 1], [1, 1]], x, q=5) == [1, 0]

@@ -9,8 +9,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from deltainv.multipoly import (
+    _det_rows,
     BadQ,
     DomainMismatch,
     MatrixPoly,
@@ -183,6 +185,74 @@ def test_det_against_sympy():
         ours = _sympy_of(sym_det(M), syms)
         smat = sympy.Matrix(g, g, lambda i, j: syms[VarId("T", 0, min(i, j) + 1, max(i, j) + 1)])
         assert sympy.expand(ours - smat.det()) == 0
+
+
+def _sympy_scalar(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _rand_scalar_rows(rng, n, fraction):
+    # about a third of the entries are zero, so zero-skipping is exercised
+    def entry():
+        a = rng.randrange(-4, 5) if rng.random() < 0.7 else 0
+        return Fraction(a, rng.randrange(1, 4)) if fraction else a
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def test_det_rows_scalars_against_sympy():
+    rng = random.Random(606)
+    for fraction in (False, True):
+        for n in range(7):
+            for _ in range(3):
+                rows = _rand_scalar_rows(rng, n, fraction)
+                got = _det_rows(rows)
+                oracle = sympy.Matrix(n, n, [_sympy_scalar(x) for r in rows
+                                             for x in r]).det()
+                assert _sympy_scalar(got) == oracle
+                if n:
+                    assert type(got) is (Fraction if fraction else int)
+
+
+def test_det_rows_polys_against_sympy():
+    rng = random.Random(607)
+    gens = [T(0, 1, 1), T(0, 1, 2), T(1, 2, 2)]
+    syms = {next(iter(v.variables())): sympy.Symbol(f"x{k}")
+            for k, v in enumerate(gens)}
+    for n in range(1, 7):
+        rows = []
+        for _ in range(n):
+            row = []
+            for _ in range(n):
+                e = MultiPoly.constant(rng.randrange(-2, 3))
+                for v in gens:
+                    if rng.random() < 0.4:
+                        e = e + v * rng.randrange(-2, 3)
+                row.append(e)
+            rows.append(row)
+        got = _det_rows(rows)
+        assert isinstance(got, MultiPoly)
+        smat = sympy.Matrix(n, n, [_sympy_of(e, syms) for r in rows for e in r])
+        dm = DomainMatrix.from_Matrix(smat)
+        oracle = dm.domain.to_sympy(dm.det())
+        assert sympy.expand(_sympy_of(got, syms) - oracle) == 0
+
+
+def test_bool_is_nonzero():
+    assert bool(MultiPoly.constant(0)) is False
+    assert bool(MultiPoly.constant(Fraction(0))) is False
+    assert bool(T(0, 1, 1) - T(0, 1, 1)) is False
+    assert bool(T(0, 1, 1)) is True
+    assert bool(MultiPoly.constant(-1)) is True
+
+
+def test_scalar_kernels_keep_the_entry_type():
+    assert adjugate(MatrixPoly([[7]])).rows == [[1]]
+    assert type(adjugate(MatrixPoly([[7]])).rows[0][0]) is int
+    coeffs = charpoly_coeffs(MatrixPoly([[Fraction(1, 2), 1], [3, 4]]))
+    assert coeffs == [1, Fraction(9, 2), -1]
+    assert all(type(c) is Fraction for c in coeffs)
+    assert wedge_power(MatrixPoly([[1, 2, 0], [0, 1, 3], [4, 0, 1]]), 2).rows[0] \
+        == [1, 3, 6]
 
 
 def test_adjugate_small():

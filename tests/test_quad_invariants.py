@@ -278,6 +278,29 @@ def test_xi_three_cycles_are_upsilon():
     assert xi_lift((0, 2, 1)) == upsilon(2, (0, 1, 2)) * (-1)
 
 
+def _xi_cycles():
+    rng = random.Random(808)
+    cycles = [tuple(range(n)) for n in range(1, 9)]
+    cycles += [tuple(rng.sample(range(12), n)) for n in range(1, 9)]
+    return cycles + [(3, 0, 5, 1)]
+
+
+@pytest.mark.parametrize("cycle", _xi_cycles())
+def test_xi_lift_is_a_multilinear_integer_preimage(cycle):
+    lift = xi_lift(cycle)
+    assert jmath(lift) == xi_target(cycle)
+    assert lift.is_zero() == (len(cycle) == 1)
+    for key, coeff in lift.terms.items():
+        assert sorted(v.level for v, _ in key) == sorted(cycle)
+        assert all(v.family == "T" and e == 1 for v, e in key)
+        assert type(coeff) is int
+
+
+def test_xi_lift_rejects_repeated_levels():
+    with pytest.raises(BadLevels):
+        xi_lift((0, 1, 0))
+
+
 def test_xi_target_is_minus_circular_product():
     y01, y12, y20 = pluecker_y(0, 1), pluecker_y(1, 2), pluecker_y(2, 0)
     assert xi_target((0, 1, 2)) == y01 * y12 * y20 * (-1)
