@@ -11,11 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class PrecisionMismatch(Exception):
+class PrecisionMismatch(ValueError):
     """Operands live over different primes or precisions."""
 
 
-class NegativeValuation(Exception):
+class NegativeValuation(ValueError):
     """A rational number with p in its denominator cannot be reduced."""
 
 

@@ -14,15 +14,15 @@ from typing import NamedTuple
 from .exact_arith import TruncatedPadic
 
 
-class DomainMismatch(Exception):
+class DomainMismatch(ValueError):
     """Rational and p-adic coefficients cannot be combined implicitly."""
 
 
-class BadQ(Exception):
+class BadQ(ValueError):
     """Exterior-power order out of range."""
 
 
-class SizeTooLarge(Exception):
+class SizeTooLarge(ValueError):
     """Matrix too large for exact determinant expansion."""
 
 
@@ -264,9 +264,6 @@ class MultiPoly:
             return NotImplemented
         return (self - other).is_zero()
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self):
         if not self.terms:
             return "MultiPoly(0)"
@@ -369,9 +366,6 @@ class MatrixPoly:
             return NotImplemented
         return all(a == b for r1, r2 in zip(self.rows, other.rows)
                    for a, b in zip(r1, r2))
-
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
 
 
 class SymMatrixPoly(MatrixPoly):

@@ -27,7 +27,7 @@ from .multipoly import (
 )
 
 
-class BadLevels(Exception):
+class BadLevels(ValueError):
     """Level tuple with repeats or of the wrong length."""
 
 

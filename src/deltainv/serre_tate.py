@@ -4,13 +4,15 @@ The basic object is the entrywise series
 ``psi(t, t') = (1/p) log((1 + t^phi) / (1 + t)^p)`` where ``t^phi`` is the
 Frobenius lift ``t^p + p t'``.  Everything is computed as a polynomial
 truncated at a total degree D, with coefficients either exact rationals or
-truncated p-adic residues at precision N.
+truncated p-adic residues at precision N.  Every matrix entry carries the
+same series in its own variables, so each twist level's series is built once,
+in the entry variable ``T^(0)_11``, and renamed for every entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 from .delta_calculus import frobenius_lift
 from .exact_arith import TruncatedPadic, rational_reduce
@@ -40,18 +42,37 @@ def club(f: MultiPoly, d: int) -> MultiPoly:
 # the scalar series and its twists
 # ---------------------------------------------------------------------------
 
-def _entry_log_series(i: int, j: int, a: int, p: int, D: int) -> MultiPoly:
+_ENTRY = VarId("T", 0, 1, 1)
+
+
+def _log1p(x: MultiPoly, D: int) -> MultiPoly:
+    """``log(1 + x)`` with exact rational coefficients, truncated at degree
+    D, for x without constant term."""
+    out = MultiPoly.constant(Fraction(0)).truncate(D)
+    xn = MultiPoly.constant(1).truncate(D)
+    for n in range(1, D + 1):
+        xn = xn * x
+        out = out + xn * Fraction((-1) ** (n + 1), n)
+    return out
+
+
+def _log_series(a: int, p: int, D: int) -> MultiPoly:
     """``(1/p) log((1 + tau_a) / (1 + tau_(a-1))^p)`` with exact rational
     coefficients, truncated at degree D.
 
-    ``tau_k`` is the k-fold Frobenius lift of the level-0 entry variable.
+    ``tau_k`` is the k-fold Frobenius lift of the entry variable
+    ``T^(0)_11``; :func:`_rename` moves the series to any other entry.
     """
-    t = MultiPoly.var(VarId("T", 0, min(i, j), max(i, j))).truncate(D)
-    tau = t
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"p must be prime, got {p}")
+    if a < 1:
+        raise ValueError(f"twist level must be at least 1, got {a}")
+    if D < 0:
+        raise ValueError(f"degree bound must be nonnegative, got {D}")
+    B = MultiPoly.var(_ENTRY).truncate(D)
     for _ in range(a - 1):
-        tau = frobenius_lift(tau, p).truncate(D)
-    B = tau
-    A = frobenius_lift(tau, p).truncate(D)
+        B = frobenius_lift(B, p)
+    A = frobenius_lift(B, p)
     # A - ((1+B)^p - 1) = phi(1 + tau) - (1 + tau)^p is divisible by p
     num = A - ((MultiPoly.constant(1).truncate(D) + B) ** p - 1)
     num = num.map_coeffs(lambda c: _exact_div(c, p))
@@ -61,15 +82,9 @@ def _entry_log_series(i: int, j: int, a: int, p: int, D: int) -> MultiPoly:
     for k in range(D + 1):
         inv = inv + Bk * ((-1) ** k * comb(p + k - 1, k))
         Bk = Bk * B
+    # (1 + A) / (1 + B)^p = 1 + p u
     u = num * inv
-    out = MultiPoly.constant(Fraction(0)).truncate(D)
-    un = MultiPoly.constant(1).truncate(D)
-    for n in range(1, D + 1):
-        un = un * u
-        if un.is_zero():
-            break
-        out = out + un * Fraction((-1) ** (n + 1) * p ** (n - 1), n)
-    return out
+    return _log1p(u * p, D) * Fraction(1, p)
 
 
 def _exact_div(c, p):
@@ -79,54 +94,32 @@ def _exact_div(c, p):
     return q
 
 
-class ExpansionSeries:
-    """A symmetric matrix of truncated series with p-adic coefficients."""
+def _rename(f: MultiPoly, i: int, j: int) -> MultiPoly:
+    """f with every ``T^(l)_11`` renamed to the entry (i, j) of level l.
 
-    def __init__(self, mat: MatrixPoly, p: int, N: int, D: int):
-        self.mat = mat
-        self.g = mat.g
-        self.p = p
-        self.N = N
-        self.D = D
-
-    def entry(self, i: int, j: int) -> MultiPoly:
-        return self.mat.entry(i, j)
-
-    def scale(self, c) -> "ExpansionSeries":
-        return ExpansionSeries(self.mat.scale(c), self.p, self.N, self.D)
-
-    def __add__(self, other: "ExpansionSeries") -> "ExpansionSeries":
-        return ExpansionSeries(self.mat + other.mat, self.p, self.N, self.D)
+    Only the indices change, so every key stays sorted.
+    """
+    i, j = min(i, j), max(i, j)
+    return MultiPoly({tuple((VarId("T", v.level, i, j), e) for v, e in key): c
+                      for key, c in f.terms.items()}, trunc=f.trunc)
 
 
-def psi_phi_direct(a: int, g: int, p: int, N: int, D: int) -> ExpansionSeries:
+def psi_phi_direct(a: int, g: int, p: int, N: int, D: int) -> MatrixPoly:
     """The (a-1)-fold twisted series, built directly from Frobenius iterates."""
-    rows = []
-    for i in range(1, g + 1):
-        row = []
-        for j in range(1, g + 1):
-            f = _entry_log_series(i, j, a, p, D)
-            row.append(reduce_rational_poly(f, p, N))
-        rows.append(row)
-    return ExpansionSeries(MatrixPoly(rows), p, N, D)
+    f = reduce_rational_poly(_log_series(a, p, D), p, N)
+    return MatrixPoly([[_rename(f, i, j) for j in range(1, g + 1)]
+                       for i in range(1, g + 1)])
 
 
-def psi(g: int, p: int, N: int, D: int) -> ExpansionSeries:
+def psi(g: int, p: int, N: int, D: int) -> MatrixPoly:
     """The basic entrywise series in the level-0 and level-1 variables."""
     return psi_phi_direct(1, g, p, N, D)
 
 
-def phi_twist(S: ExpansionSeries) -> ExpansionSeries:
-    """Apply the Frobenius lift to every variable of every entry."""
-    p, D = S.p, S.D
-
-    def twist(f):
-        sigma = {v: (MultiPoly.var(v) ** p +
-                     MultiPoly.var(VarId(v.family, v.level + 1, v.i, v.j)) * p)
-                 for v in f.variables()}
-        return substitute(f, sigma, D)
-
-    return ExpansionSeries(S.mat.map_entries(twist), p, S.N, D)
+def phi_twist(S: MatrixPoly, p: int) -> MatrixPoly:
+    """Apply the Frobenius lift to every variable of every entry; each entry
+    keeps its degree bound."""
+    return S.map_entries(lambda f: frobenius_lift(f, p))
 
 
 # ---------------------------------------------------------------------------
@@ -134,21 +127,21 @@ def phi_twist(S: ExpansionSeries) -> ExpansionSeries:
 # ---------------------------------------------------------------------------
 
 def expansion_basic(kind: str, index: int, g: int, p: int, N: int,
-                    D: int) -> ExpansionSeries:
+                    D: int) -> MatrixPoly:
     if kind == "f_partial":
         one = TruncatedPadic(p, N, 1)
-        rows = [[MultiPoly.constant(one if i == j else one * 0)
-                 for j in range(g)] for i in range(g)]
-        return ExpansionSeries(MatrixPoly(rows), p, N, D)
+        return MatrixPoly([[MultiPoly.constant(one if i == j else one * 0)
+                            for j in range(g)] for i in range(g)])
+    if kind not in ("f_angle", "f_r", "f_bracket"):
+        raise ValueError(f"unknown expansion kind: {kind}")
+    if index < 1:
+        raise ValueError(f"{kind} needs index at least 1, got {index}")
     if kind == "f_angle":
         return psi_phi_direct(index, g, p, N, D)
-    if kind in ("f_r", "f_bracket"):
-        acc = None
-        for i in range(index):
-            term = psi_phi_direct(index - i, g, p, N, D).scale(p ** i)
-            acc = term if acc is None else acc + term
-        return acc
-    raise ValueError(f"unknown expansion kind: {kind}")
+    acc = psi_phi_direct(index, g, p, N, D)
+    for i in range(1, index):
+        acc = acc + psi_phi_direct(index - i, g, p, N, D).scale(p ** i)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -163,37 +156,27 @@ def diamond_realize(F: MultiPoly, r: int, g: int, p: int, N: int,
     for v in F.variables():
         if v.level >= r:
             raise ValueError(f"slot {v.level} needs r > {v.level}")
+        if not (1 <= v.i <= g and 1 <= v.j <= g):
+            raise ValueError(f"entry ({v.i}, {v.j}) is outside g = {g}")
         if v.level not in series:
-            series[v.level] = psi_phi_direct(v.level + 1, g, p, N, D)
-        sigma[v] = series[v.level].entry(v.i, v.j)
+            series[v.level] = reduce_rational_poly(
+                _log_series(v.level + 1, p, D), p, N)
+        sigma[v] = _rename(series[v.level], v.i, v.j)
     G = F.map_coeffs(lambda c: rational_reduce(c, p, N))
     return substitute(G, sigma, D)
-
-
-def _entrywise_log(i: int, j: int, D: int) -> MultiPoly:
-    t = MultiPoly.var(VarId("T", 0, min(i, j), max(i, j))).truncate(D)
-    out = MultiPoly.constant(Fraction(0)).truncate(D)
-    tn = MultiPoly.constant(1).truncate(D)
-    for n in range(1, D + 1):
-        tn = tn * t
-        out = out + tn * Fraction((-1) ** (n + 1), n)
-    return out
 
 
 def spade(F: MultiPoly, D: int, p: int = 3) -> MultiPoly:
     """Slot 0 becomes the entrywise logarithm; slot k >= 1 the rational
     (k-1)-fold twisted series."""
-    rational_series = {}
+    series = {}
     sigma = {}
     for v in F.variables():
-        if v.level == 0:
-            sigma[v] = _entrywise_log(v.i, v.j, D)
-        else:
-            key = (v.level, v.i, v.j)
-            if key not in rational_series:
-                rational_series[key] = _entry_log_series(v.i, v.j, v.level,
-                                                         p, D)
-            sigma[v] = rational_series[key]
+        if v.level not in series:
+            series[v.level] = (
+                _log1p(MultiPoly.var(_ENTRY).truncate(D), D) if v.level == 0
+                else _log_series(v.level, p, D))
+        sigma[v] = _rename(series[v.level], v.i, v.j)
     return substitute(F.map_coeffs(Fraction), sigma, D)
 
 

@@ -102,6 +102,22 @@ def test_usage_error_exit_code(capsys):
     assert main(["dims", "--g", "2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "expand --kind f_angle --p 4",
+    "expand --kind f_r --index 0",
+    "expand --kind f_angle --index 0",
+    "expand --kind f_angle --deg -1",
+    "upsilon --g 2 --levels 0,0,1",
+    "theta --g 7 --multidegree 6,1",
+])
+def test_invalid_input_is_a_usage_error(capsys, argv):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code = main(["dims", "--g", "2", "--r", "0", "--s", "1", "--out", str(target)])

@@ -245,6 +245,17 @@ def test_bool_is_nonzero():
     assert bool(MultiPoly.constant(-1)) is True
 
 
+def test_polynomials_and_matrices_are_unhashable():
+    # equality is ring equality under sticky truncation, which no hash of
+    # the stored coefficients can agree with
+    a = MultiPoly.constant(1)
+    b = MultiPoly.constant(TruncatedPadic(3, 2, 1))
+    assert a == b
+    for value in (a, b, identity_matrix(2), generic_sym_matrix(2, 0)):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
 def test_scalar_kernels_keep_the_entry_type():
     assert adjugate(MatrixPoly([[7]])).rows == [[1]]
     assert type(adjugate(MatrixPoly([[7]])).rows[0][0]) is int

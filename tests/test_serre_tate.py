@@ -82,14 +82,14 @@ def test_psi_is_symmetric():
 def test_route_equality_small():
     for (p, N, D) in ((3, 2, 4), (2, 2, 3)):
         a2_direct = psi_phi_direct(2, 1, p, N, D)
-        a2_twist = phi_twist(psi(1, p, N, D))
+        a2_twist = phi_twist(psi(1, p, N, D), p)
         assert a2_direct.entry(1, 1) == a2_twist.entry(1, 1)
 
 
 def test_route_equality_a3_g2():
     p, N, D = 3, 2, 3
     direct = psi_phi_direct(3, 2, p, N, D)
-    twisted = phi_twist(phi_twist(psi(2, p, N, D)))
+    twisted = phi_twist(phi_twist(psi(2, p, N, D), p), p)
     for i in range(1, 3):
         for j in range(i, 3):
             assert direct.entry(i, j) == twisted.entry(i, j)
@@ -127,27 +127,24 @@ def test_basic_form_angle_one_is_psi():
             assert S.entry(i, j) == P.entry(i, j)
 
 
-def test_bracket_two_equals_full_form():
-    A = expansion_basic("f_bracket", 2, 2, 3, 2, 3)
-    B = expansion_basic("f_r", 2, 2, 3, 2, 3)
-    for i in range(1, 3):
-        for j in range(i, 3):
-            assert A.entry(i, j) == B.entry(i, j)
-
-
-def test_bracket_decomposition():
-    # bracket form of order a is sum of p^i angle forms of order a - i
-    for a in (2, 3):
-        p, N, D = 3, 2, 3
-        lhs = expansion_basic("f_bracket", a, 2, p, N, D)
-        acc = None
-        for i in range(a):
-            term = expansion_basic("f_angle", a - i, 2, p, N, D)
-            scaled = term.scale(p ** i)
-            acc = scaled if acc is None else acc + scaled
-        for i in range(1, 3):
-            for j in range(i, 3):
-                assert lhs.entry(i, j) == acc.entry(i, j)
+@pytest.mark.parametrize("kind", ["f_r", "f_bracket"])
+@pytest.mark.parametrize("a", [2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+def test_full_form_is_sum_of_twisted_psi(kind, a, p):
+    # independent route: sum of p^i times the (a-1-i)-fold Frobenius lift of
+    # the level-1 series; g = 3 covers off-diagonal and transposed entries
+    N, D = 2, 4
+    S = psi(3, p, N, D)
+    twists = [S]
+    for _ in range(a - 1):
+        twists.append(phi_twist(twists[-1], p))
+    rhs = twists[a - 1]
+    for i in range(1, a):
+        rhs = rhs + twists[a - 1 - i].scale(p ** i)
+    lhs = expansion_basic(kind, a, 3, p, N, D)
+    for i in range(1, 4):
+        for j in range(1, 4):
+            assert lhs.entry(i, j) == rhs.entry(i, j)
 
 
 def test_key_identity_expansion_level():
@@ -156,7 +153,7 @@ def test_key_identity_expansion_level():
         for N in (2, 3):
             for D in (3, 4):
                 lhs = expansion_basic("f_r", 2, 2, p, N, D)
-                rhs = phi_twist(psi(2, p, N, D)) + psi(2, p, N, D).scale(p)
+                rhs = phi_twist(psi(2, p, N, D), p) + psi(2, p, N, D).scale(p)
                 for i in range(1, 3):
                     for j in range(i, 3):
                         assert lhs.entry(i, j) == rhs.entry(i, j)
@@ -174,7 +171,7 @@ def test_club_of_diamond_det():
     # degree-2 part of det(psi) is det(T' - T): direct truncation oracle
     p, N, D = 3, 2, 4
     out = diamond_realize(detT(), 1, 2, p, N, D)
-    oracle = club(sym_det(psi(2, p, N, D).mat), 2)
+    oracle = club(sym_det(psi(2, p, N, D)), 2)
     assert club(out, 2) == oracle
     heart = difference_substitution(detT(), p)
     assert club(out, 2) == reduce_rational_poly(heart, p, N)
