@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .delta_calculus import canonical_delta, delta_bracket
 from .conj_invariants import jacobian_rank
+from .exact_arith import require_prime
 from .multipoly import MultiPoly, Tvar, sym_det, generic_sym_matrix
 from .quad_invariants import (
     b0_count,
@@ -74,10 +75,9 @@ def _matrix_entries(series) -> list:
 # ---------------------------------------------------------------------------
 
 def _cmd_dims(args, out):
-    s = Fraction(args.s)
-    basis = invariant_dimension(args.g, args.r, s)
+    dimension = invariant_dimension(args.g, args.r, Fraction(args.s))
     _emit({"g": args.g, "r": args.r, "s": str(args.s),
-           "dimension": basis.dimension}, out)
+           "dimension": dimension}, out)
     return 0
 
 
@@ -195,6 +195,7 @@ def _random_int_poly(rng, nvars: int, terms: int) -> MultiPoly:
 
 def _suite_delta(args):
     p = args.p
+    require_prime(p)
     rng = random.Random(_resolve_seed(args))
     checks = []
 

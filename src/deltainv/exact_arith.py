@@ -9,6 +9,7 @@ coercing silently.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 
 class PrecisionMismatch(ValueError):
@@ -108,6 +109,13 @@ class TruncatedPadic:
 
     def __repr__(self):
         return f"TruncatedPadic({self.p}, {self.N}, {self.residue})"
+
+
+def require_prime(n: int, name: str = "p") -> None:
+    """Raise ``ValueError`` unless n is a prime; ``name`` is the argument
+    named in the message."""
+    if n < 2 or any(n % d == 0 for d in range(2, isqrt(n) + 1)):
+        raise ValueError(f"{name} must be prime, got {n}")
 
 
 def rational_reduce(value, p: int, N: int) -> TruncatedPadic:

@@ -10,11 +10,13 @@ fibres of the separating invariants.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 from math import comb, gcd
 
+from .exact_arith import require_prime
 from .exact_linalg import ExactMatrix, kernel_basis
 from .multipoly import (
     MatrixPoly,
@@ -80,63 +82,52 @@ def sl_annihilates(f: MultiPoly, g: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# torus slice and graded dimensions
+# graded dimensions
 # ---------------------------------------------------------------------------
 
-def torus_slice(g: int, r: int, s):
-    """Monomials of degree g*s whose every index appears exactly 2*s times."""
+def invariant_dimension(g: int, r: int, s) -> int:
+    """Dimension of the invariants of degree g*s.
+
+    They are the copies of det^(2s) in the GL_g character of the polynomial
+    ring, counted by the Racah-Speiser sum over the Weyl group S_g:
+    sum_w sgn(w) m(lambda + rho - w rho), with lambda = (2s, ..., 2s),
+    rho = (g-1, ..., 0) and m(mu) the number of monomials in the entries
+    ``T^(l)_ij`` (index weight e_i + e_j) of total index weight mu.
+    """
+    for name, value, low in (("g", g, 1), ("r", r, 0), ("s", s, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
     s = Fraction(s)
-    gs = g * s
-    if gs.denominator != 1:
-        raise ValueError(f"total degree {gs} is not an integer")
-    gs = int(gs)
-    target = 2 * s
-    vars_ = [VarId("T", l, i, j) for l in range(r + 1)
-             for i in range(1, g + 1) for j in range(i, g + 1)]
-    out = []
-    for combo in itertools.combinations_with_replacement(vars_, gs):
-        counts = [Fraction(0)] * (g + 1)
-        for v in combo:
-            counts[v.i] += 1
-            counts[v.j] += 1
-        if all(counts[m] == target for m in range(1, g + 1)):
-            key = tuple(sorted((v, combo.count(v)) for v in set(combo)))
-            out.append(MultiPoly({key: 1}))
-    return out
+    if (g * s).denominator != 1:
+        raise ValueError(f"total degree {g * s} is not an integer")
+    if (2 * s).denominator != 1:
+        return 0
+    pairs = [(i, j) for i in range(g) for j in range(i, g)]
 
+    @functools.cache
+    def monomials(k, rem):
+        """Monomials in the pairs from k on of index weight rem."""
+        if k == len(pairs):
+            return 1
+        i, j = pairs[k]
+        total = 0
+        for n in range(min(rem[i], rem[j]) // (1 + (i == j)) + 1):
+            left = list(rem)
+            left[i] -= n
+            left[j] -= n
+            if j == g - 1 and left[i]:
+                continue                       # no later pair holds index i
+            # n factors of one pair spread over the r + 1 levels
+            total += comb(n + r, r) * monomials(k + 1, tuple(left))
+        return total
 
-class InvariantBasis:
-    def __init__(self, dimension, polys):
-        self.dimension = dimension
-        self.polys = polys
-
-
-def invariant_dimension(g: int, r: int, s) -> InvariantBasis:
-    """Dimension (and a basis) of the invariants in one graded slice."""
-    monomials = torus_slice(g, r, s)
-    if not monomials:
-        return InvariantBasis(0, [])
-    columns = {next(iter(m.terms)): idx for idx, m in enumerate(monomials)}
-    rows = {}
-    for idx, m in enumerate(monomials):
-        for a in range(1, g + 1):
-            for b in range(1, g + 1):
-                if a == b:
-                    continue
-                img = _apply_derivation(m, a, b)
-                for key, coeff in img.terms.items():
-                    row = rows.setdefault((a, b, key), {})
-                    row[idx] = row.get(idx, 0) + coeff
-    A = ExactMatrix(list(rows.values()), ncols=len(monomials))
-    basis = kernel_basis(A)
-    polys = []
-    for vec in basis:
-        f = MultiPoly.constant(0)
-        for key, idx in columns.items():
-            if vec[idx]:
-                f = f + MultiPoly({key: vec[idx]})
-        polys.append(f)
-    return InvariantBasis(len(basis), polys)
+    lam = int(2 * s)
+    total = 0
+    for w in itertools.permutations(range(g)):
+        sign = (-1) ** sum(w[a] > w[b]
+                           for a, b in itertools.combinations(range(g), 2))
+        total += sign * monomials(0, tuple(lam + w[a] - a for a in range(g)))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +148,8 @@ def theta_multidegrees(g: int, r: int):
 def theta(g: int, mdeg) -> MultiPoly:
     """Coefficient of prod y_l^(m_l) in det(sum_l y_l T^(l))."""
     mdeg = tuple(mdeg)
+    if g < 1:
+        raise ValueError(f"matrix size must be at least 1, got {g}")
     if sum(mdeg) != g:
         raise ValueError("multidegree must sum to the matrix size")
     r = len(mdeg) - 1
@@ -442,6 +435,11 @@ def b0_count(g: int, q: int, trials: int = 100, seed=None, draw=None,
     """Solution counts on random fibres of the separating invariants."""
     if g not in (2, 3):
         raise ValueError("point counts implemented for sizes 2 and 3")
+    require_prime(q, "q")
+    if g == 3 and q < 3:
+        raise ValueError(f"size 3 needs q >= 3, got {q}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     roots = _sqrt_table(q)
     counts = []

@@ -12,10 +12,10 @@ in the entry variable ``T^(0)_11``, and renamed for every entry.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 
 from .delta_calculus import frobenius_lift
-from .exact_arith import TruncatedPadic, rational_reduce
+from .exact_arith import TruncatedPadic, rational_reduce, require_prime
 from .multipoly import (
     MatrixPoly,
     MultiPoly,
@@ -63,8 +63,7 @@ def _log_series(a: int, p: int, D: int) -> MultiPoly:
     ``tau_k`` is the k-fold Frobenius lift of the entry variable
     ``T^(0)_11``; :func:`_rename` moves the series to any other entry.
     """
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-        raise ValueError(f"p must be prime, got {p}")
+    require_prime(p)
     if a < 1:
         raise ValueError(f"twist level must be at least 1, got {a}")
     if D < 0:
@@ -128,6 +127,9 @@ def phi_twist(S: MatrixPoly, p: int) -> MatrixPoly:
 
 def expansion_basic(kind: str, index: int, g: int, p: int, N: int,
                     D: int) -> MatrixPoly:
+    require_prime(p)
+    if g < 1:
+        raise ValueError(f"matrix size must be at least 1, got {g}")
     if kind == "f_partial":
         one = TruncatedPadic(p, N, 1)
         return MatrixPoly([[MultiPoly.constant(one if i == j else one * 0)
@@ -151,6 +153,8 @@ def expansion_basic(kind: str, index: int, g: int, p: int, N: int,
 def diamond_realize(F: MultiPoly, r: int, g: int, p: int, N: int,
                     D: int) -> MultiPoly:
     """Substitute the (level)-fold twisted series for each slot of F."""
+    if g < 1:
+        raise ValueError(f"matrix size must be at least 1, got {g}")
     series = {}
     sigma = {}
     for v in F.variables():

@@ -146,21 +146,21 @@ def test_criterion_02_bracket_identity():
 def test_criterion_03_dimension_grid():
     # one matrix, g = 2: binomial(s + 2, 2)
     for s in range(5):
-        assert invariant_dimension(2, 1, s).dimension == comb(s + 2, 2)
+        assert invariant_dimension(2, 1, s) == comb(s + 2, 2)
     # pairs of 2x2 matrices: binomial(s + 5, 5)
     for s in range(4):
-        assert invariant_dimension(2, 2, s).dimension == comb(s + 5, 5)
+        assert invariant_dimension(2, 2, s) == comb(s + 5, 5)
     # half-integral s gives 0 in even genus
     for r in (1, 2, 3):
-        assert invariant_dimension(2, r, Fraction(1, 2)).dimension == 0
+        assert invariant_dimension(2, r, Fraction(1, 2)) == 0
     # one 3x3 matrix
     for s in range(3):
-        assert invariant_dimension(3, 1, s).dimension == comb(s + 3, 3)
+        assert invariant_dimension(3, 1, s) == comb(s + 3, 3)
     # triples and quadruples of 2x2 matrices
-    assert invariant_dimension(2, 3, 1).dimension == 10
-    assert invariant_dimension(2, 3, 2).dimension == 55
-    assert invariant_dimension(2, 4, 1).dimension == 15
-    assert invariant_dimension(2, 4, 2).dimension == 120
+    assert invariant_dimension(2, 3, 1) == 10
+    assert invariant_dimension(2, 3, 2) == 55
+    assert invariant_dimension(2, 4, 1) == 15
+    assert invariant_dimension(2, 4, 2) == 120
 
 
 # ---------------------------------------------------------------------------

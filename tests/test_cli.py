@@ -24,6 +24,21 @@ def test_dims_half_integer(capsys):
     code, out = run_cli(capsys, "dims", "--g", "2", "--r", "1", "--s", "1/2")
     assert code == 0
     assert json.loads(out)["dimension"] == 0
+    # integral total degree, but det^(2/3) is no weight
+    code, out = run_cli(capsys, "dims", "--g", "3", "--r", "1", "--s", "1/3")
+    assert code == 0
+    assert json.loads(out)["dimension"] == 0
+
+
+@pytest.mark.parametrize("argv,name", [
+    ("dims --g -1 --r 1 --s 1", "g"),
+    ("dims --g 2 --r -1 --s 1", "r"),
+    ("dims --g 2 --r 1 --s -1", "s"),
+    ("b0 --g 3 --q 4", "q"),
+])
+def test_error_names_the_bad_argument(capsys, argv, name):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name} must be")
 
 
 def test_theta_json(capsys):
@@ -109,6 +124,19 @@ def test_usage_error_exit_code(capsys):
     "expand --kind f_angle --deg -1",
     "upsilon --g 2 --levels 0,0,1",
     "theta --g 7 --multidegree 6,1",
+    "dims --g 0 --r 1 --s 1",
+    "dims --g -1 --r 1 --s 1",
+    "dims --g 2 --r -1 --s 1",
+    "dims --g 2 --r 1 --s -1",
+    "theta --g 0 --multidegree 0",
+    "diamond --g 0",
+    "rank --g 0 --r 1",
+    "expand --kind f_angle --g -1",
+    "expand --kind f_partial --p 4",
+    "verify --suite delta --p 4",
+    "b0 --g 2 --q 101 --trials 0",
+    "b0 --g 3 --q 1",
+    "b0 --g 3 --q 2",
 ])
 def test_invalid_input_is_a_usage_error(capsys, argv):
     assert main(argv.split()) == 2

@@ -3,10 +3,11 @@
 Replays a subset of the benchmark's golden corpus (``perfbench/golden.json``,
 the stdout SHA-256 of each recorded ``delta-inv`` command line) through
 ``cli.main`` and checks that the output bytes are unchanged.  The subset is
-every ``xi``, ``relations``, ``b0``, ``upsilon``, ``expand``, ``diamond`` and
-``verify`` item, the ``rank`` items with g <= 4 and the g = 4 ``theta``
-items: the commands whose code paths use the closed-form lifts, the shared
-cofactor kernels and the expansion series.  The file is only read here;
+every ``dims``, ``hilbert``, ``xi``, ``relations``, ``b0``, ``upsilon``,
+``expand``, ``diamond`` and ``verify`` item, the ``rank`` items with g <= 4
+and the g = 4 ``theta`` items: the commands whose code paths use the weight
+count, the closed forms, the shared cofactor kernels and the expansion
+series.  The file is only read here;
 ``perfbench/record_golden.py`` is what writes it.
 """
 
@@ -31,8 +32,8 @@ def _flag(argv, name):
 def _selected(item):
     argv = item.split()
     command = argv[0]
-    if command in ("xi", "relations", "b0", "upsilon", "expand", "diamond",
-                   "verify"):
+    if command in ("dims", "hilbert", "xi", "relations", "b0", "upsilon",
+                   "expand", "diamond", "verify"):
         return True
     if command == "rank":
         return _flag(argv, "--g") <= 4
@@ -46,8 +47,8 @@ ITEMS = sorted(item for item in GOLDEN if _selected(item))
 
 def test_subset_is_not_empty():
     commands = {item.split()[0] for item in ITEMS}
-    assert commands == {"xi", "relations", "b0", "upsilon", "rank", "theta",
-                        "expand", "diamond", "verify"}
+    assert commands == {"dims", "hilbert", "xi", "relations", "b0", "upsilon",
+                        "rank", "theta", "expand", "diamond", "verify"}
 
 
 @pytest.mark.parametrize("item", ITEMS)
