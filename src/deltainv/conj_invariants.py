@@ -100,17 +100,31 @@ def y_invariant(j: int, levels, g: int) -> MultiPoly:
 # Jacobian ranks and discriminants
 # ---------------------------------------------------------------------------
 
-def jacobian_rank(polys, point: dict, field=None) -> int:
-    """Rank of the Jacobian of the polynomial family at the given point."""
+def jacobian_rows(polys, point: dict, field=None):
+    """Gradients of the family at the point, over its sorted variables.
+
+    One pass over each polynomial's terms: the term c * prod x_w^(e_w) adds
+    c * e_v * x_v^(e_v - 1) * prod_{w != v} x_w^(e_w) to the entry of each
+    of its variables v.  Entries are reduced mod ``field`` when one is given.
+    """
     vars_ = sorted({v for f in polys for v in f.variables()})
+    col = {v: k for k, v in enumerate(vars_)}
     rows = []
     for f in polys:
-        row = []
-        for v in vars_:
-            val = f.derivative(v).evaluate(point)
-            row.append(val % field if field is not None else val)
-        rows.append(row)
-    return rank(ExactMatrix(rows, field=field))
+        row = [0] * len(vars_)
+        for key, coeff in f.terms.items():
+            for v, e in key:
+                term = coeff * e
+                for w, d in key:
+                    term = term * point[w] ** (d - 1 if w == v else d)
+                row[col[v]] += term
+        rows.append(row if field is None else [x % field for x in row])
+    return rows
+
+
+def jacobian_rank(polys, point: dict, field=None) -> int:
+    """Rank of the Jacobian of the polynomial family at the given point."""
+    return rank(ExactMatrix(jacobian_rows(polys, point, field), field=field))
 
 
 def disc0(coeffs):

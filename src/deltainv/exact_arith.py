@@ -121,8 +121,11 @@ def require_prime(n: int, name: str = "p") -> None:
 def rational_reduce(value, p: int, N: int) -> TruncatedPadic:
     """Reduce an integer or Fraction modulo ``p**N``.
 
-    Raises :class:`NegativeValuation` if the denominator is divisible by p.
+    Raises :class:`NegativeValuation` if the denominator is divisible by p,
+    and ``ValueError`` if N is below 1.
     """
+    if N < 1:
+        raise ValueError(f"precision must be at least 1, got {N}")
     if isinstance(value, TruncatedPadic):
         if value.p != p or value.N < N:
             raise PrecisionMismatch("incompatible residue input")

@@ -23,7 +23,7 @@ class BadQ(ValueError):
 
 
 class SizeTooLarge(ValueError):
-    """Matrix too large for exact determinant expansion."""
+    """Input too large for exact expansion."""
 
 
 class VarId(NamedTuple):

@@ -14,13 +14,14 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd, prod
 
 from .exact_arith import require_prime
 from .exact_linalg import ExactMatrix, kernel_basis
 from .multipoly import (
     MatrixPoly,
     MultiPoly,
+    SizeTooLarge,
     VarId,
     substitute,
     sym_det,
@@ -31,6 +32,10 @@ from .multipoly import (
 
 class BadLevels(ValueError):
     """Level tuple with repeats or of the wrong length."""
+
+
+# products in the Leibniz sum of one theta, g! * multinomial(g; mdeg)
+THETA_BUDGET = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +90,13 @@ def sl_annihilates(f: MultiPoly, g: int) -> bool:
 # graded dimensions
 # ---------------------------------------------------------------------------
 
+def _signed_permutations(n: int):
+    """Each permutation of range(n) with its sign, in lexicographic order."""
+    for w in itertools.permutations(range(n)):
+        yield (-1) ** sum(w[a] > w[b]
+                          for a, b in itertools.combinations(range(n), 2)), w
+
+
 def invariant_dimension(g: int, r: int, s) -> int:
     """Dimension of the invariants of degree g*s.
 
@@ -122,12 +134,8 @@ def invariant_dimension(g: int, r: int, s) -> int:
         return total
 
     lam = int(2 * s)
-    total = 0
-    for w in itertools.permutations(range(g)):
-        sign = (-1) ** sum(w[a] > w[b]
-                           for a, b in itertools.combinations(range(g), 2))
-        total += sign * monomials(0, tuple(lam + w[a] - a for a in range(g)))
-    return total
+    return sum(sign * monomials(0, tuple(lam + w[a] - a for a in range(g)))
+               for sign, w in _signed_permutations(g))
 
 
 # ---------------------------------------------------------------------------
@@ -146,31 +154,43 @@ def theta_multidegrees(g: int, r: int):
 
 
 def theta(g: int, mdeg) -> MultiPoly:
-    """Coefficient of prod y_l^(m_l) in det(sum_l y_l T^(l))."""
+    """Coefficient of prod y_l^(m_l) in det(sum_l y_l T^(l)).
+
+    The Leibniz sum sum_sigma sgn(sigma) sum_f prod_i T^(f(i))_{i,sigma(i)}
+    over sigma in S_g and the distinct assignments f of levels to rows that
+    use level l exactly m_l times.  Its g! * multinomial(g; mdeg) products
+    are counted first and refused above ``THETA_BUDGET``.
+    """
     mdeg = tuple(mdeg)
     if g < 1:
         raise ValueError(f"matrix size must be at least 1, got {g}")
+    if any(m < 0 for m in mdeg):
+        raise ValueError(f"multidegree parts must be non-negative, got {mdeg}")
     if sum(mdeg) != g:
         raise ValueError("multidegree must sum to the matrix size")
-    r = len(mdeg) - 1
-    rows = []
-    for i in range(1, g + 1):
-        row = []
-        for j in range(1, g + 1):
-            e = MultiPoly.constant(0)
-            for l in range(r + 1):
-                e = e + MultiPoly.var(VarId("s", l, 0, 0)) * \
-                    MultiPoly.var(VarId("T", l, min(i, j), max(i, j)))
-            row.append(e)
-        rows.append(row)
-    det = sym_det(MatrixPoly(rows))
-    out = {}
-    for key, coeff in det.terms.items():
-        svars = {v.level: e for v, e in key if v.family == "s"}
-        if all(svars.get(l, 0) == mdeg[l] for l in range(r + 1)):
-            rest = tuple((v, e) for v, e in key if v.family != "s")
-            out[rest] = out.get(rest, 0) + coeff
-    return MultiPoly(out)
+    work = factorial(g) ** 2 // prod(factorial(m) for m in mdeg)
+    if work > THETA_BUDGET:
+        raise SizeTooLarge(f"theta of size {g} and multidegree {mdeg} needs "
+                           f"{work} products, over the budget {THETA_BUDGET}")
+    pairs = [(i, j) for i in range(g) for j in range(i, g)]
+    npairs = len(pairs)
+    pair_of = {(i, j): k for k, (i, j) in enumerate(pairs)}
+    # variable k is T^(k // npairs) at entry pairs[k % npairs], so sorted
+    # indices are sorted VarIds
+    assignments = set(itertools.permutations(
+        [l for l, m in enumerate(mdeg) for _ in range(m)]))
+    terms = {}
+    for sign, sigma in _signed_permutations(g):
+        # choices[i][l] is the variable T^(l) at entry (i, sigma(i))
+        choices = [[l * npairs + pair_of[min(i, s), max(i, s)]
+                    for l in range(len(mdeg))] for i, s in enumerate(sigma)]
+        for f in assignments:
+            key = tuple(sorted(map(list.__getitem__, choices, f)))
+            terms[key] = terms.get(key, 0) + sign
+    var = [VarId("T", l, i + 1, j + 1)
+           for l in range(len(mdeg)) for i, j in pairs]
+    return MultiPoly({tuple((var[k], key.count(k)) for k in dict.fromkeys(key)):
+                      c for key, c in terms.items()})
 
 
 def upsilon(g: int, levels) -> MultiPoly:
@@ -323,6 +343,8 @@ _EVEN_NUMERATORS = {1: [1], 2: [1], 3: [1, 1, 1, 1], 4: [1, 3, 6, 10]}
 
 def hilbert_closed(r: int, terms: int, variant: str = "even"):
     """First coefficients of the closed-form Hilbert series (g = 2)."""
+    if terms < 0:
+        raise ValueError(f"terms must be at least 0, got {terms}")
     if variant == "even":
         if r not in _EVEN_NUMERATORS:
             raise ValueError(f"no closed form stored for r = {r}")

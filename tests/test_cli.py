@@ -49,6 +49,13 @@ def test_theta_json(capsys):
     assert names == {"T0_11", "T0_12", "T0_22", "T1_11", "T1_12", "T1_22"}
 
 
+def test_theta_beyond_six_rows(capsys):
+    code, out = run_cli(capsys, "theta", "--g", "7", "--multidegree", "6,1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["multidegree"] == [6, 1] and doc["polynomial"]
+
+
 def test_xi_and_upsilon_agree(capsys):
     code1, out1 = run_cli(capsys, "xi", "--cycle", "0,1,2")
     code2, out2 = run_cli(capsys, "upsilon", "--g", "2", "--levels", "0,1,2")
@@ -123,7 +130,13 @@ def test_usage_error_exit_code(capsys):
     "expand --kind f_angle --index 0",
     "expand --kind f_angle --deg -1",
     "upsilon --g 2 --levels 0,0,1",
-    "theta --g 7 --multidegree 6,1",
+    "theta --g 7 --multidegree 1,1,1,1,1,1,1",
+    "theta --g 2 --multidegree 3,-1",
+    "diamond --multidegree 3,-1",
+    "expand --kind f_angle --prec -1",
+    "diamond --prec -1",
+    "verify --suite expansions --prec -1",
+    "hilbert --terms -2",
     "dims --g 0 --r 1 --s 1",
     "dims --g -1 --r 1 --s 1",
     "dims --g 2 --r -1 --s 1",

@@ -1,7 +1,8 @@
 """Tests for conjugation-invariant theory: trace words, the wedge-commutant
 polynomial, adjugate-product tuples, and Jacobian-rank certificates.
 
-Oracles: sympy matrix arithmetic on random integer samples.
+Oracles: sympy matrix arithmetic on random integer samples, and gradients
+taken one derivative polynomial at a time.
 """
 
 import random
@@ -17,6 +18,7 @@ from deltainv.conj_invariants import (
     cyclic_matrix_product,
     disc0,
     jacobian_rank,
+    jacobian_rows,
     phi_q,
     pi_n,
     trace_word,
@@ -30,6 +32,7 @@ from deltainv.multipoly import (
     generic_sym_matrix,
     sym_det,
 )
+from deltainv.quad_invariants import theta, theta_multidegrees
 
 
 def _rand_mat(rng, g, span=4):
@@ -248,6 +251,54 @@ def test_jacobian_full_rank_for_coordinates():
 def test_jacobian_detects_dependence():
     x = MultiPoly.var(VarId("X", 0, 1, 1))
     assert jacobian_rank([x, x * x], {VarId("X", 0, 1, 1): 5}, field=101) == 1
+
+
+def _derivative_rows(polys, point, field):
+    """Gradient rows built from one derivative polynomial per entry."""
+    vars_ = sorted({v for f in polys for v in f.variables()})
+    rows = []
+    for f in polys:
+        row = [f.derivative(v).evaluate(point) for v in vars_]
+        rows.append(row if field is None else [x % field for x in row])
+    return rows
+
+
+FIELDS = [None, (1 << 31) - 1, 101]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_jacobian_rows_match_derivatives_on_theta_family(g, field):
+    polys = [theta(g, m) for m in theta_multidegrees(g, 1)]
+    rng = random.Random(g)
+    point = {v: rng.randrange(1, (1 << 31) - 1)
+             for f in polys for v in f.variables()}
+    assert jacobian_rows(polys, point, field) == \
+        _derivative_rows(polys, point, field)
+
+
+def _random_poly(rng, gens):
+    terms = {}
+    for _ in range(rng.randrange(0, 8)):
+        exps = {v: rng.randrange(0, 4) for v in rng.sample(gens, 3)}
+        key = tuple(sorted((v, e) for v, e in exps.items() if e))
+        terms[key] = rng.randrange(-9, 10)
+    return MultiPoly(terms)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("seed", range(8))
+def test_jacobian_rows_match_derivatives_on_random_polys(seed, field):
+    rng = random.Random(seed)
+    gens = [VarId("X", 0, i, j) for i in range(1, 3) for j in range(1, 4)]
+    polys = [_random_poly(rng, gens) for _ in range(rng.randrange(1, 5))]
+    # zeros and negatives exercise 0 ** 0 and signs; rationals over Q
+    values = [0, -3, 2, 7, 12345678901]
+    if field is None:
+        values.append(Fraction(-5, 3))
+    point = {v: rng.choice(values) for v in gens}
+    assert jacobian_rows(polys, point, field) == \
+        _derivative_rows(polys, point, field)
 
 
 def test_trace_word_rank_small():

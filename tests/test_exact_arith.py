@@ -45,6 +45,13 @@ def test_rational_reduce_negative_valuation():
         rational_reduce(Fraction(5, 6), 3, 2)
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_rational_reduce_rejects_precision_below_one(N):
+    for value in (5, Fraction(1, 2), TruncatedPadic(3, 2, 4)):
+        with pytest.raises(ValueError, match="precision"):
+            rational_reduce(value, 3, N)
+
+
 def test_rational_reduce_integer_input():
     assert rational_reduce(7, 2, 3).residue == 7
 

@@ -1,11 +1,13 @@
 """Tests for the congruence-invariant theory of tuples of symmetric matrices.
 
 Oracles: the rational kernel of the trace-free derivations on an
-exhaustively enumerated torus slice, sympy determinants, direct evaluation at
+exhaustively enumerated torus slice, the determinant of the s-weighted
+matrix sum_l s_l T^(l), sympy determinants, direct evaluation at
 random tuples over Q and prime fields, binomial closed forms recomputed with
 math.comb, and brute-force solution counting over F_q.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -13,10 +15,21 @@ from math import comb
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from deltainv.exact_linalg import ExactMatrix, kernel_basis
-from deltainv.multipoly import MultiPoly, Tvar, VarId, uvar, vvar
+from deltainv.multipoly import (
+    MatrixPoly,
+    MultiPoly,
+    SizeTooLarge,
+    Tvar,
+    VarId,
+    sym_det,
+    uvar,
+    vvar,
+)
 from deltainv.quad_invariants import (
+    THETA_BUDGET,
     BadLevels,
     _apply_derivation,
     b0_count,
@@ -253,6 +266,67 @@ def test_theta_evaluates_as_det_coefficient():
     assert theta(2, (1, 1)).evaluate(point) == Fraction(int(poly.coeff(y0 * y1)))
 
 
+@functools.cache
+def _s_weighted_det(g, r):
+    """det(sum_l s_l T^(l)) with auxiliary scalar variables s_l."""
+    rows = [[sum((MultiPoly.var(VarId("s", l, 0, 0)) * T(l, i, j)
+                  for l in range(r + 1)), MultiPoly.constant(0))
+             for j in range(1, g + 1)] for i in range(1, g + 1)]
+    return sym_det(MatrixPoly(rows))
+
+
+def _theta_det_reference(g, mdeg):
+    """theta by the determinant route: the s-monomial prod s_l^(m_l)."""
+    out = {}
+    for key, coeff in _s_weighted_det(g, len(mdeg) - 1).terms.items():
+        svars = {v.level: e for v, e in key if v.family == "s"}
+        if all(svars.get(l, 0) == m for l, m in enumerate(mdeg)):
+            rest = tuple((v, e) for v, e in key if v.family != "s")
+            out[rest] = out.get(rest, 0) + coeff
+    return MultiPoly(out)
+
+
+@pytest.mark.parametrize("g,mdeg", [
+    (g, mdeg) for g in range(1, 5) for r in range(3)
+    for mdeg in theta_multidegrees(g, r)] + [
+    (5, mdeg) for mdeg in theta_multidegrees(5, 1)], ids=str)
+def test_theta_matches_determinant_reference(g, mdeg):
+    f = theta(g, mdeg)
+    assert f.terms == _theta_det_reference(g, mdeg).terms
+    assert all(type(c) is int for c in f.terms.values())
+
+
+def test_theta_beyond_six_rows_is_a_det_coefficient():
+    # oracle: the y-coefficient of sympy's det(A + y B) for a 7x7 pair
+    rng = random.Random(7)
+    g = 7
+    A = sympy.zeros(g, g)
+    B = sympy.zeros(g, g)
+    point = {}
+    for i in range(g):
+        for j in range(i, g):
+            for l, M in ((0, A), (1, B)):
+                M[i, j] = M[j, i] = rng.randrange(-5, 6)
+                point[VarId("T", l, i + 1, j + 1)] = int(M[i, j])
+    y = sympy.symbols("y")
+    pencil = DomainMatrix.from_Matrix(A + y * B)        # over ZZ[y]
+    det = pencil.domain.to_sympy(pencil.det())
+    expect = sympy.Poly(det, y).coeff_monomial(y)
+    assert theta(g, (6, 1)).evaluate(point) == int(expect)
+
+
+def test_theta_rejects_negative_parts():
+    with pytest.raises(ValueError, match=r"\(3, -1\)"):
+        theta(2, (3, -1))
+
+
+def test_theta_refuses_over_budget_before_expanding():
+    # 7! * 7! = 25401600 products, which would take minutes and gigabytes;
+    # the refusal names both numbers
+    with pytest.raises(SizeTooLarge, match=f"25401600.*{THETA_BUDGET}"):
+        theta(7, (1,) * 7)
+
+
 # ---------------------------------------------------------------- upsilon
 
 def test_upsilon_rejects_repeats():
@@ -383,6 +457,13 @@ def test_hilbert_even_r4_series():
     got = hilbert_closed(4, 6)
     assert got == expect
     assert got[1] == 15 and got[2] == 120
+
+
+def test_hilbert_term_count():
+    assert hilbert_closed(2, 0) == []
+    for variant in ("even", "grassmannian"):
+        with pytest.raises(ValueError, match="terms"):
+            hilbert_closed(3, -2, variant=variant)
 
 
 def test_hilbert_grassmannian_r3():
