@@ -151,6 +151,8 @@ def _cmd_diamond(args, out):
 
 
 def _cmd_rank(args, out):
+    if args.r < 1:
+        raise ValueError(f"r must be at least 1, got {args.r}")
     field = (1 << 31) - 1
     seed = _resolve_seed(args)
     rng = random.Random(seed)

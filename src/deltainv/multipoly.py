@@ -156,9 +156,6 @@ class MultiPoly:
         return MultiPoly({k: fn(c) for k, c in self.terms.items()},
                          trunc=self.trunc)
 
-    def homogeneous_part(self, d: int) -> "MultiPoly":
-        return homogeneous_component(self, d)
-
     def derivative(self, vid: VarId) -> "MultiPoly":
         out = {}
         for key, coeff in self.terms.items():
@@ -329,10 +326,6 @@ class MatrixPoly:
 
     def entry(self, i: int, j: int) -> MultiPoly:
         return self.rows[i - 1][j - 1]
-
-    def transpose(self) -> "MatrixPoly":
-        return MatrixPoly([[self.rows[j][i] for j in range(self.g)]
-                           for i in range(self.g)])
 
     def scale(self, factor) -> "MatrixPoly":
         return MatrixPoly([[e * factor for e in row] for row in self.rows])

@@ -7,12 +7,17 @@ truncated at a total degree D, with coefficients either exact rationals or
 truncated p-adic residues at precision N.  Every matrix entry carries the
 same series in its own variables, so each twist level's series is built once,
 in the entry variable ``T^(0)_11``, and renamed for every entry.
+
+The lift is a ring endomorphism, so every twisted series is a difference of
+Frobenius lifts of one logarithm ``L = log(1 + T^(0)_11)``: twist level a is
+``(phi^a(L) - p phi^(a-1)(L)) / p``, and the full forms ``f_r``/``f_bracket``,
+``sum_(i < a) p^i`` times level ``a - i``, telescope to
+``(phi^a(L) - p^a L) / p``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .delta_calculus import frobenius_lift
 from .exact_arith import TruncatedPadic, rational_reduce, require_prime
@@ -56,41 +61,30 @@ def _log1p(x: MultiPoly, D: int) -> MultiPoly:
     return out
 
 
+def _log_entry(D: int) -> MultiPoly:
+    """``L = log(1 + T^(0)_11)`` truncated at degree D: every twist level's
+    series is a combination of Frobenius lifts of L."""
+    if D < 0:
+        raise ValueError(f"degree bound must be nonnegative, got {D}")
+    return _log1p(MultiPoly.var(_ENTRY).truncate(D), D)
+
+
 def _log_series(a: int, p: int, D: int) -> MultiPoly:
     """``(1/p) log((1 + tau_a) / (1 + tau_(a-1))^p)`` with exact rational
     coefficients, truncated at degree D.
 
     ``tau_k`` is the k-fold Frobenius lift of the entry variable
-    ``T^(0)_11``; :func:`_rename` moves the series to any other entry.
+    ``T^(0)_11``; :func:`_rename` moves the series to any other entry.  The
+    lift is a ring endomorphism, so ``log(1 + tau_k) = phi^k(L)`` and the
+    series is ``(phi^a(L) - p phi^(a-1)(L)) / p``.
     """
     require_prime(p)
     if a < 1:
         raise ValueError(f"twist level must be at least 1, got {a}")
-    if D < 0:
-        raise ValueError(f"degree bound must be nonnegative, got {D}")
-    B = MultiPoly.var(_ENTRY).truncate(D)
+    prev = _log_entry(D)
     for _ in range(a - 1):
-        B = frobenius_lift(B, p)
-    A = frobenius_lift(B, p)
-    # A - ((1+B)^p - 1) = phi(1 + tau) - (1 + tau)^p is divisible by p
-    num = A - ((MultiPoly.constant(1).truncate(D) + B) ** p - 1)
-    num = num.map_coeffs(lambda c: _exact_div(c, p))
-    # (1 + B)^(-p) expanded binomially
-    inv = MultiPoly.constant(0).truncate(D)
-    Bk = MultiPoly.constant(1).truncate(D)
-    for k in range(D + 1):
-        inv = inv + Bk * ((-1) ** k * comb(p + k - 1, k))
-        Bk = Bk * B
-    # (1 + A) / (1 + B)^p = 1 + p u
-    u = num * inv
-    return _log1p(u * p, D) * Fraction(1, p)
-
-
-def _exact_div(c, p):
-    q, r = divmod(c, p)
-    if r:
-        raise ArithmeticError(f"coefficient {c} not divisible by {p}")
-    return q
+        prev = frobenius_lift(prev, p)
+    return (frobenius_lift(prev, p) - prev * p) * Fraction(1, p)
 
 
 def _rename(f: MultiPoly, i: int, j: int) -> MultiPoly:
@@ -103,11 +97,17 @@ def _rename(f: MultiPoly, i: int, j: int) -> MultiPoly:
                       for key, c in f.terms.items()}, trunc=f.trunc)
 
 
-def psi_phi_direct(a: int, g: int, p: int, N: int, D: int) -> MatrixPoly:
-    """The (a-1)-fold twisted series, built directly from Frobenius iterates."""
-    f = reduce_rational_poly(_log_series(a, p, D), p, N)
+def _entrywise(f: MultiPoly, g: int, p: int, N: int) -> MatrixPoly:
+    """The g x g matrix carrying f, reduced mod p^N once, in each entry's
+    variables."""
+    f = reduce_rational_poly(f, p, N)
     return MatrixPoly([[_rename(f, i, j) for j in range(1, g + 1)]
                        for i in range(1, g + 1)])
+
+
+def psi_phi_direct(a: int, g: int, p: int, N: int, D: int) -> MatrixPoly:
+    """The (a-1)-fold twisted series, built directly from Frobenius iterates."""
+    return _entrywise(_log_series(a, p, D), g, p, N)
 
 
 def psi(g: int, p: int, N: int, D: int) -> MatrixPoly:
@@ -140,10 +140,11 @@ def expansion_basic(kind: str, index: int, g: int, p: int, N: int,
         raise ValueError(f"{kind} needs index at least 1, got {index}")
     if kind == "f_angle":
         return psi_phi_direct(index, g, p, N, D)
-    acc = psi_phi_direct(index, g, p, N, D)
-    for i in range(1, index):
-        acc = acc + psi_phi_direct(index - i, g, p, N, D).scale(p ** i)
-    return acc
+    # sum_(i < index) p^i psi_(index - i), telescoped
+    L = top = _log_entry(D)
+    for _ in range(index):
+        top = frobenius_lift(top, p)
+    return _entrywise((top - L * p ** index) * Fraction(1, p), g, p, N)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +179,7 @@ def spade(F: MultiPoly, D: int, p: int = 3) -> MultiPoly:
     for v in F.variables():
         if v.level not in series:
             series[v.level] = (
-                _log1p(MultiPoly.var(_ENTRY).truncate(D), D) if v.level == 0
+                _log_entry(D) if v.level == 0
                 else _log_series(v.level, p, D))
         sigma[v] = _rename(series[v.level], v.i, v.j)
     return substitute(F.map_coeffs(Fraction), sigma, D)

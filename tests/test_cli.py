@@ -35,6 +35,7 @@ def test_dims_half_integer(capsys):
     ("dims --g 2 --r -1 --s 1", "r"),
     ("dims --g 2 --r 1 --s -1", "s"),
     ("b0 --g 3 --q 4", "q"),
+    ("rank --g 2 --r 0", "r"),
 ])
 def test_error_names_the_bad_argument(capsys, argv, name):
     assert main(argv.split()) == 2
@@ -144,6 +145,8 @@ def test_usage_error_exit_code(capsys):
     "theta --g 0 --multidegree 0",
     "diamond --g 0",
     "rank --g 0 --r 1",
+    "rank --g 2 --r 0",
+    "rank --g 2 --r -1",
     "expand --kind f_angle --g -1",
     "expand --kind f_partial --p 4",
     "verify --suite delta --p 4",

@@ -488,22 +488,18 @@ def test_b0_g2_zero_discriminant():
 
 
 def test_b0_g3_matches_exhaustive_oracle():
-    import numpy as np
-
     q = 11
     rng = random.Random(5)
     for _ in range(3):
         alpha, beta, gamma = (rng.randrange(1, q) for _ in range(3))
         nu = rng.choice([x for x in range(2, q)])
-        xs = np.arange(q)
-        X, Y, Z = np.meshgrid(xs, xs, xs, indexing="ij")
         rhs1 = (alpha ** 2 + beta ** 2 + gamma ** 2) % q
         rhs2 = (beta ** 2 + nu * gamma ** 2) % q
         rhs3 = (alpha * beta * gamma - gamma ** 2) % q
-        ok = ((X ** 2 + Y ** 2 + Z ** 2) % q == rhs1)
-        ok &= ((Y ** 2 + nu * Z ** 2) % q == rhs2)
-        ok &= ((X * Y * Z - Z ** 2) % q == rhs3)
-        expect = int(ok.sum())
+        expect = sum(1 for X, Y, Z in itertools.product(range(q), repeat=3)
+                     if (X ** 2 + Y ** 2 + Z ** 2) % q == rhs1
+                     and (Y ** 2 + nu * Z ** 2) % q == rhs2
+                     and (X * Y * Z - Z ** 2) % q == rhs3)
         got = b0_count(3, q, trials=1, seed=None,
                        draw=(alpha, beta, gamma, nu))["counts"][0]
         assert got == expect

@@ -5,12 +5,19 @@ partial sums, independent route comparisons, and rational-side substitution.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from deltainv.delta_calculus import frobenius_lift
 from deltainv.exact_arith import TruncatedPadic, rational_reduce
 from deltainv.multipoly import MultiPoly, Tvar, VarId, sym_det
 from deltainv.serre_tate import (
+    _ENTRY,
+    _log1p,
+    _log_series,
     club,
     cyclic_word_check,
     diamond_realize,
@@ -75,6 +82,61 @@ def test_psi_scalar_specialization():
 def test_psi_is_symmetric():
     S = psi(2, 3, 2, 3)
     assert S.entry(2, 1) == S.entry(1, 2)
+
+
+# ---------------------------------------------------------------- the series
+
+def _log_series_binomial_reference(a, p, D):
+    """The twisted series without the logarithm of a lift: with B the
+    (a-1)-fold lift of the entry variable and A = phi(B), expand
+    (1 + A) / (1 + B)^p = 1 + p u binomially and take (1/p) log(1 + p u)."""
+    B = MultiPoly.var(_ENTRY).truncate(D)
+    for _ in range(a - 1):
+        B = frobenius_lift(B, p)
+    A = frobenius_lift(B, p)
+    # A - ((1+B)^p - 1) = phi(1 + tau) - (1 + tau)^p is divisible by p
+    num = A - ((MultiPoly.constant(1).truncate(D) + B) ** p - 1)
+    assert all(c % p == 0 for c in num.terms.values())
+    num = num.map_coeffs(lambda c: c // p)
+    inv = MultiPoly.constant(0).truncate(D)
+    Bk = MultiPoly.constant(1).truncate(D)
+    for k in range(D + 1):
+        inv = inv + Bk * ((-1) ** k * comb(p + k - 1, k))
+        Bk = Bk * B
+    return _log1p(num * inv * p, D) * Fraction(1, p)
+
+
+@pytest.mark.parametrize("D", [4, 8, 12])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("a", [1, 2, 3, 4])
+def test_log_series_matches_binomial_reference(a, p, D):
+    got = _log_series(a, p, D)
+    assert got.terms == _log_series_binomial_reference(a, p, D).terms
+    assert got.trunc == D
+
+
+_X_VARS = [VarId("T", 0, 1, 1), VarId("T", 0, 1, 2), VarId("T", 1, 2, 2)]
+
+
+@st.composite
+def _no_constant_polys(draw):
+    nvars = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * nvars).filter(any)
+    terms = draw(st.dictionaries(exps, st.integers(-3, 3), min_size=1,
+                                 max_size=4))
+    return MultiPoly({tuple((v, e) for v, e in zip(_X_VARS, key) if e): c
+                      for key, c in terms.items()})
+
+
+@settings(derandomize=True, deadline=None)
+@given(x=_no_constant_polys(), p=st.sampled_from([2, 3, 5]),
+       D=st.integers(0, 6))
+def test_frobenius_lift_commutes_with_log(x, p, D):
+    # phi is a ring endomorphism that never lowers degree, so it commutes
+    # with the truncated logarithm
+    lhs = frobenius_lift(_log1p(x, D), p)
+    rhs = _log1p(frobenius_lift(x, p), D)
+    assert lhs.terms == rhs.terms
 
 
 # ---------------------------------------------------------------- twists
@@ -145,6 +207,18 @@ def test_full_form_is_sum_of_twisted_psi(kind, a, p):
     for i in range(1, 4):
         for j in range(1, 4):
             assert lhs.entry(i, j) == rhs.entry(i, j)
+
+
+@pytest.mark.parametrize("N", [1, 2, 4])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_telescoping_commutes_with_reduction(p, N):
+    # the full form is reduced once; the sum reduces each level on its own
+    D = 4
+    for a in range(1, 5):
+        rhs = psi_phi_direct(a, 2, p, N, D)
+        for i in range(1, a):
+            rhs = rhs + psi_phi_direct(a - i, 2, p, N, D).scale(p ** i)
+        assert expansion_basic("f_r", a, 2, p, N, D) == rhs
 
 
 def test_key_identity_expansion_level():
