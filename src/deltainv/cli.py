@@ -240,7 +240,7 @@ def _suite_expansions(args):
            psi_phi_direct(2, 2, p, N, D) == phi_twist(base, p))
     angle = expansion_basic("f_angle", 1, 2, p, N, D)
     record("angle-is-base-series", angle == base)
-    partial = expansion_basic("f_partial", 0, 2, p, N, D)
+    partial = expansion_basic("f_partial", 1, 2, p, N, D)
     record("partial-is-identity",
            all(partial.entry(i, i).constant_value() for i in (1, 2))
            and partial.entry(1, 2).is_zero())

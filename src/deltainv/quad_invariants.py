@@ -4,8 +4,9 @@ A tuple (T^(0), ..., T^(r)) of symmetric g x g matrices carries the action
 M -> L M L^t of SL_g.  This module computes graded dimensions of the
 invariant ring, the determinant-coefficient generators (theta), the moment
 determinants (upsilon), the rank-one substitution map and its lifts (xi),
-the known relations between them, Hilbert series, and point counts on the
-fibres of the separating invariants.
+the known relations between them, and point counts on the fibres of the
+separating invariants.  Every graded dimension and Hilbert coefficient is one
+Weyl-group sum over a monomial weight count.
 """
 
 from __future__ import annotations
@@ -97,14 +98,20 @@ def _signed_permutations(n: int):
                           for a, b in itertools.combinations(range(n), 2)), w
 
 
+def _weyl_sum(g: int, lam: int, count) -> int:
+    """Multiplicity of det^lam in the GL_g character with weight counts
+    ``count``: the Racah-Speiser sum over S_g of sgn(w) count(lambda + rho -
+    w rho), with lambda = (lam, ..., lam) and rho = (g-1, ..., 0)."""
+    return sum(sign * count(tuple(lam + w[a] - a for a in range(g)))
+               for sign, w in _signed_permutations(g))
+
+
 def invariant_dimension(g: int, r: int, s) -> int:
     """Dimension of the invariants of degree g*s.
 
     They are the copies of det^(2s) in the GL_g character of the polynomial
-    ring, counted by the Racah-Speiser sum over the Weyl group S_g:
-    sum_w sgn(w) m(lambda + rho - w rho), with lambda = (2s, ..., 2s),
-    rho = (g-1, ..., 0) and m(mu) the number of monomials in the entries
-    ``T^(l)_ij`` (index weight e_i + e_j) of total index weight mu.
+    ring: :func:`_weyl_sum` over the number of monomials in the entries
+    ``T^(l)_ij`` (index weight e_i + e_j) of each total index weight.
     """
     for name, value, low in (("g", g, 1), ("r", r, 0), ("s", s, 0)):
         if value < low:
@@ -122,20 +129,24 @@ def invariant_dimension(g: int, r: int, s) -> int:
         if k == len(pairs):
             return 1
         i, j = pairs[k]
+        if j < g - 1:
+            counts = range(min(rem[i], rem[j]) // (1 + (i == j)) + 1)
+        else:
+            # no later pair holds index i, so n is forced; rem[i] is even on
+            # the diagonal, as every pair takes an even share of the total 2gs.
+            # n <= rem[j] only prunes: the diagonal's n >= 0 would catch it
+            n = rem[i] // (1 + (i == j))
+            counts = [n] if 0 <= n <= rem[j] else []
         total = 0
-        for n in range(min(rem[i], rem[j]) // (1 + (i == j)) + 1):
+        for n in counts:
             left = list(rem)
             left[i] -= n
             left[j] -= n
-            if j == g - 1 and left[i]:
-                continue                       # no later pair holds index i
             # n factors of one pair spread over the r + 1 levels
             total += comb(n + r, r) * monomials(k + 1, tuple(left))
         return total
 
-    lam = int(2 * s)
-    return sum(sign * monomials(0, tuple(lam + w[a] - a for a in range(g)))
-               for sign, w in _signed_permutations(g))
+    return _weyl_sum(g, int(2 * s), functools.partial(monomials, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +307,9 @@ def relation_check(kind: str, indices=(0, 1, 2, 3), split=None):
         residual = lhs - rhs
         return residual.is_zero(), {"residual_terms": len(residual.terms)}
     if kind == "plucker":
+        if len(indices) != 4:
+            raise ValueError(f"the Plucker relation needs exactly 4 distinct "
+                             f"indices, got {len(indices)}")
         products = _pluecker_products(indices)
         images = []
         for pairs in products:
@@ -338,32 +352,22 @@ def relation_check(kind: str, indices=(0, 1, 2, 3), split=None):
 # Hilbert series
 # ---------------------------------------------------------------------------
 
-_EVEN_NUMERATORS = {1: [1], 2: [1], 3: [1, 1, 1, 1], 4: [1, 3, 6, 10]}
-
-
 def hilbert_closed(r: int, terms: int, variant: str = "even"):
-    """First coefficients of the closed-form Hilbert series (g = 2)."""
+    """First coefficients of a g = 2 Hilbert series, from the weight count:
+    the invariants of degree 2s of r + 1 symmetric matrices (``even``) or of
+    their rank-one images, r + 1 vectors (u_l, v_l) with C(a + r, r)
+    C(b + r, r) monomials of weight (a, b) (``grassmannian``)."""
     if terms < 0:
         raise ValueError(f"terms must be at least 0, got {terms}")
+    if r < 0:
+        raise ValueError(f"r must be at least 0, got {r}")
     if variant == "even":
-        if r not in _EVEN_NUMERATORS:
-            raise ValueError(f"no closed form stored for r = {r}")
-        num = _EVEN_NUMERATORS[r]
-        d = 3 * r
-    elif variant == "grassmannian":
-        if r < 2:
-            raise ValueError("need at least two levels")
-        num = [Fraction(comb(r - 1, j) * comb(r - 1, j - 1), r - 1)
-               for j in range(1, r)]
-        d = 2 * r - 1
-    else:
-        raise ValueError(f"unknown variant: {variant}")
-    out = []
-    for s in range(terms):
-        val = sum(num[j] * comb(s - j + d - 1, d - 1)
-                  for j in range(len(num)) if s - j >= 0)
-        out.append(int(val))
-    return out
+        return [invariant_dimension(2, r, s) for s in range(terms)]
+    if variant == "grassmannian":
+        def vectors(mu):
+            return prod(comb(m + r, r) for m in mu) if min(mu) >= 0 else 0
+        return [_weyl_sum(2, s, vectors) for s in range(terms)]
+    raise ValueError(f"unknown variant: {variant}")
 
 
 # ---------------------------------------------------------------------------

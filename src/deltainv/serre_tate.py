@@ -130,14 +130,16 @@ def expansion_basic(kind: str, index: int, g: int, p: int, N: int,
     require_prime(p)
     if g < 1:
         raise ValueError(f"matrix size must be at least 1, got {g}")
+    if kind not in ("f_partial", "f_angle", "f_r", "f_bracket"):
+        raise ValueError(f"unknown expansion kind: {kind}")
+    if index < 1:
+        raise ValueError(f"{kind} needs index at least 1, got {index}")
+    if D < 0:
+        raise ValueError(f"degree bound must be nonnegative, got {D}")
     if kind == "f_partial":
         one = TruncatedPadic(p, N, 1)
         return MatrixPoly([[MultiPoly.constant(one if i == j else one * 0)
                             for j in range(g)] for i in range(g)])
-    if kind not in ("f_angle", "f_r", "f_bracket"):
-        raise ValueError(f"unknown expansion kind: {kind}")
-    if index < 1:
-        raise ValueError(f"{kind} needs index at least 1, got {index}")
     if kind == "f_angle":
         return psi_phi_direct(index, g, p, N, D)
     # sum_(i < index) p^i psi_(index - i), telescoped

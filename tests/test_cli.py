@@ -1,10 +1,14 @@
 """Tests for the batch command-line front end."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from deltainv.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +40,7 @@ def test_dims_half_integer(capsys):
     ("dims --g 2 --r 1 --s -1", "s"),
     ("b0 --g 3 --q 4", "q"),
     ("rank --g 2 --r 0", "r"),
+    ("hilbert --r -1", "r"),
 ])
 def test_error_names_the_bad_argument(capsys, argv, name):
     assert main(argv.split()) == 2
@@ -69,6 +74,12 @@ def test_hilbert(capsys):
                         "--terms", "4")
     assert code == 0
     assert json.loads(out)["coefficients"] == [1, 6, 21, 56]
+
+
+def test_hilbert_beyond_stored_numerators(capsys):
+    code, out = run_cli(capsys, "hilbert", "--r", "5", "--terms", "4")
+    assert code == 0
+    assert json.loads(out)["coefficients"] == [1, 21, 231, 1771]
 
 
 def test_relations_cyclic(capsys):
@@ -138,6 +149,13 @@ def test_usage_error_exit_code(capsys):
     "diamond --prec -1",
     "verify --suite expansions --prec -1",
     "hilbert --terms -2",
+    "hilbert --r -1",
+    "hilbert --variant grassmannian --r -1",
+    "relations --kind plucker --indices 0,1,2",
+    "relations --kind plucker --indices 0,1,2,3,4",
+    "expand --kind f_partial --index -5",
+    "expand --kind f_partial --index 0",
+    "expand --kind f_partial --deg -1",
     "dims --g 0 --r 1 --s 1",
     "dims --g -1 --r 1 --s 1",
     "dims --g 2 --r -1 --s 1",
@@ -168,3 +186,34 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["dimension"] == 1
+
+
+def _readme_commands():
+    """Each ``delta-inv`` line of the README's "Command line" block, with
+    the JSON fields its ``# {...}`` comment promises."""
+    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```",
+                      README.read_text(), re.M | re.S).group(1)
+    cases = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        comment = comment.strip()
+        cases.append(pytest.param(
+            command.split(),
+            json.loads(comment) if comment.startswith("{") else {},
+            id=command.strip()))
+    return cases
+
+
+def test_readme_block_is_found():
+    commands = [case.values[0] for case in _readme_commands()]
+    assert len(commands) >= 10
+    assert {argv[1] for argv in commands} >= {"dims", "hilbert", "b0", "verify"}
+
+
+@pytest.mark.parametrize("argv,fields", _readme_commands())
+def test_readme_command_runs(capsys, argv, fields):
+    assert argv[0] == "delta-inv"
+    code, out = run_cli(capsys, *argv[1:])
+    assert code == 0
+    doc = json.loads(out)
+    assert {key: doc[key] for key in fields} == fields

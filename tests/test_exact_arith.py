@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltainv.exact_arith import (
     NegativeValuation,
@@ -198,3 +200,16 @@ def test_residues_are_reduced_and_printable():
     assert x.residue == 2
     assert str(x) == "2 mod 3^2"
     assert str(tp(2, 3, -1)) == "7 mod 2^3"
+
+
+@settings(derandomize=True, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), N=st.integers(1, 6),
+       a=st.integers(-10 ** 6, 10 ** 6), b=st.integers(-10 ** 6, 10 ** 6),
+       e=st.integers(0, 12))
+def test_arithmetic_matches_integers_mod_power(p, N, a, b, e):
+    m = p ** N
+    x, y = tp(p, N, a), tp(p, N, b)
+    for got, want in ((x + y, a + b), (x - y, a - b), (x * y, a * b),
+                      (x + b, a + b), (b - x, b - a), (b * x, a * b),
+                      (-x, -a), (x ** e, a ** e)):
+        assert (got.p, got.N, got.residue) == (p, N, want % m)

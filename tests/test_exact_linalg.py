@@ -7,6 +7,9 @@ Vandermonde matrices.
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from deltainv.exact_linalg import ExactMatrix, kernel_basis, rank
 
 
@@ -92,3 +95,29 @@ def test_rank_prime_field_vs_rational_bound():
         rows = [[rng.randrange(-9, 10) for _ in range(4)] for _ in range(4)]
         assert rank(ExactMatrix(rows, field=10007)) <= rank(ExactMatrix(rows))
 
+
+# entries that vanish mod 101 make the two ranks differ now and then
+_ENTRIES = st.integers(-3, 3) | st.sampled_from([101, -101, 202])
+
+
+@st.composite
+def _int_matrices(draw):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+
+
+@settings(derandomize=True, deadline=None)
+@given(rows=_int_matrices())
+def test_rank_over_q_bounds_rank_mod_p(rows):
+    assert rank(ExactMatrix(rows)) >= rank(ExactMatrix(rows, field=101))
+
+
+@settings(derandomize=True, deadline=None)
+@given(rows=_int_matrices(), field=st.sampled_from([None, 101]))
+def test_kernel_vectors_annihilate_the_matrix(rows, field):
+    A = ExactMatrix(rows, field=field)
+    basis = kernel_basis(A)
+    assert len(basis) == A.ncols - rank(A)
+    for v in basis:
+        assert _matvec(rows, v, field) == [0] * len(rows)

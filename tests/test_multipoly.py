@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from deltainv.multipoly import (
@@ -84,6 +86,32 @@ def test_ring_axioms_random():
         a, b, c = rand_poly(), rand_poly(), rand_poly()
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+_RING_VARS = [VarId("T", 0, 1, 1), VarId("T", 0, 1, 2), VarId("T", 1, 2, 2)]
+
+
+@st.composite
+def _int_polys(draw):
+    exps = st.tuples(*[st.integers(0, 2)] * len(_RING_VARS))
+    terms = draw(st.dictionaries(exps, st.integers(-3, 3), max_size=5))
+    return MultiPoly({tuple((v, e) for v, e in zip(_RING_VARS, key) if e): c
+                      for key, c in terms.items()})
+
+
+@settings(derandomize=True, deadline=None)
+@given(a=_int_polys(), b=_int_polys(), c=_int_polys(), D=st.integers(0, 6))
+def test_truncated_ring_laws(a, b, c, D):
+    exact = a * b
+    a, b, c = a.truncate(D), b.truncate(D), c.truncate(D)
+    assert ((a + b) + c).terms == (a + (b + c)).terms
+    assert (a + b).terms == (b + a).terms
+    assert ((a * b) * c).terms == (a * (b * c)).terms
+    assert (a * b).terms == (b * a).terms
+    assert (a * (b + c)).terms == (a * b + a * c).terms
+    # truncating the product is the same as multiplying truncated factors
+    assert (a * b).terms == exact.truncate(D).terms
+    assert (a * b).trunc == D
 
 
 def test_domain_mismatch():

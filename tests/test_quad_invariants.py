@@ -17,7 +17,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from deltainv.exact_linalg import ExactMatrix, kernel_basis
+from deltainv.exact_linalg import ExactMatrix, kernel_basis, rank
 from deltainv.multipoly import (
     MatrixPoly,
     MultiPoly,
@@ -177,9 +177,17 @@ def test_dimension_matches_kernel_reference(g, r, s):
 
 def test_dimension_g2_matches_hilbert_series():
     for r in range(1, 5):
-        coefficients = hilbert_closed(r, 7)
+        coefficients = _even_closed_form(r, 7)
         for s in range(7):
             assert invariant_dimension(2, r, s) == coefficients[s]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_dimension_of_a_pencil(g):
+    # the invariants of a pencil (A, B) are generated by the g + 1
+    # coefficients of det(xA + yB), which are algebraically independent
+    for s in range(6):
+        assert invariant_dimension(g, 1, s) == comb(s + g, g)
 
 
 def test_dimension_of_triples_of_ternary_forms():
@@ -436,6 +444,85 @@ def test_plucker_kernel_slice():
 
 
 # ---------------------------------------------------------------- hilbert series
+
+# the closed forms once stored in the library: numerators over (1 - x)^d
+_EVEN_NUMERATORS = {1: [1], 2: [1], 3: [1, 1, 1, 1], 4: [1, 3, 6, 10]}
+
+
+def _over_power_of_one_minus_x(num, d, terms):
+    """First coefficients of num(x) / (1 - x)^d."""
+    return [sum(num[j] * comb(s - j + d - 1, d - 1)
+                for j in range(len(num)) if s - j >= 0) for s in range(terms)]
+
+
+def _even_closed_form(r, terms):
+    return _over_power_of_one_minus_x(_EVEN_NUMERATORS[r], 3 * r, terms)
+
+
+def _grassmannian_closed_form(r, terms):
+    """Narayana numerator over (1 - x)^(2r - 1), for r >= 2."""
+    num = [Fraction(comb(r - 1, j) * comb(r - 1, j - 1), r - 1)
+           for j in range(1, r)]
+    return _over_power_of_one_minus_x(num, 2 * r - 1, terms)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_hilbert_even_matches_stored_numerators(r):
+    assert hilbert_closed(r, 15) == _even_closed_form(r, 15)
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_hilbert_grassmannian_matches_narayana_form(r):
+    assert hilbert_closed(r, 10, variant="grassmannian") == \
+        _grassmannian_closed_form(r, 10)
+
+
+def _bracket_span_rank(r, s):
+    """Rank of the degree-s products of the brackets y_ij on r + 1 levels."""
+    ys = [pluecker_y(i, j) for i in range(r + 1) for j in range(i + 1, r + 1)]
+    products = []
+    for combo in itertools.combinations_with_replacement(ys, s):
+        f = MultiPoly.constant(1)
+        for y in combo:
+            f = f * y
+        products.append(f)
+    keys = sorted({k for f in products for k in f.terms})
+    col = {k: n for n, k in enumerate(keys)}
+    return rank(ExactMatrix([{col[k]: c for k, c in f.terms.items()}
+                             for f in products], ncols=len(keys)))
+
+
+@pytest.mark.parametrize("r,s", [(r, s) for r in range(1, 6) for s in range(4)
+                                 if (r, s) != (5, 3)])
+def test_hilbert_grassmannian_counts_bracket_products(r, s):
+    # the brackets generate the invariants of r + 1 vectors in the plane
+    assert hilbert_closed(r, s + 1, variant="grassmannian")[s] == \
+        _bracket_span_rank(r, s)
+
+
+@pytest.mark.parametrize("r,dimension", [(5, 231), (6, 406)])
+def test_hilbert_even_beyond_stored_numerators(r, dimension):
+    coefficients = hilbert_closed(r, 3)
+    assert coefficients[2] == dimension == len(_kernel_reference(2, r, 2))
+
+
+def test_hilbert_of_one_level():
+    # one matrix: only powers of det; one vector: only constants
+    assert hilbert_closed(0, 5) == [1, 1, 1, 1, 1]
+    assert hilbert_closed(0, 5, variant="grassmannian") == [1, 0, 0, 0, 0]
+    assert hilbert_closed(1, 3, variant="grassmannian") == [1, 1, 1]
+
+
+def test_hilbert_rejects_negative_r():
+    for variant in ("even", "grassmannian"):
+        with pytest.raises(ValueError, match="^r must be at least 0"):
+            hilbert_closed(-1, 3, variant=variant)
+
+
+def test_hilbert_rejects_unknown_variant():
+    with pytest.raises(ValueError, match="unknown variant"):
+        hilbert_closed(2, 3, variant="odd")
+
 
 def test_hilbert_even_r1_r2():
     assert hilbert_closed(1, 5) == [comb(s + 2, 2) for s in range(5)]
