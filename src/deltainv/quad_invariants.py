@@ -6,7 +6,11 @@ invariant ring, the determinant-coefficient generators (theta), the moment
 determinants (upsilon), the rank-one substitution map and its lifts (xi),
 the known relations between them, and point counts on the fibres of the
 separating invariants.  Every graded dimension and Hilbert coefficient is one
-Weyl-group sum over a monomial weight count.
+Weyl-group sum over a monomial weight count.  A g = 3 fibre count is read off
+the roots of a cubic resolvent in w = z^2: with x^2 = X(w) and y^2 = Y(w),
+the points with z != 0 lie over the roots of (w + R3)^2 - w X(w) Y(w), found
+by a gcd with w^q - w and Cantor-Zassenhaus splitting in O(log q) operations,
+and a count is at most 3 roots x 2 square roots x 2 sign choices = 12.
 """
 
 from __future__ import annotations
@@ -307,6 +311,9 @@ def relation_check(kind: str, indices=(0, 1, 2, 3), split=None):
         residual = lhs - rhs
         return residual.is_zero(), {"residual_terms": len(residual.terms)}
     if kind == "plucker":
+        if split is not None:
+            raise ValueError(f"split must be omitted for the Plucker "
+                             f"relation, got {split}")
         if len(indices) != 4:
             raise ValueError(f"the Plucker relation needs exactly 4 distinct "
                              f"indices, got {len(indices)}")
@@ -434,31 +441,154 @@ def separating_F0(g: int, p: int) -> MultiPoly:
 # point counts
 # ---------------------------------------------------------------------------
 
-def _sqrt_table(q: int):
-    table = {}
-    for x in range(q):
-        table.setdefault(x * x % q, []).append(x)
-    return table
+def _chi(a: int, q: int) -> int:
+    """The Legendre symbol of a mod the odd prime q, by Euler's criterion."""
+    t = pow(a, (q - 1) // 2, q)
+    return -1 if t == q - 1 else t
 
 
-def _count_g3(q, roots, alpha, beta, gamma, nu):
-    rhs1 = (alpha * alpha + beta * beta + gamma * gamma) % q
-    rhs2 = (beta * beta + nu * gamma * gamma) % q
-    rhs3 = (alpha * beta * gamma - gamma * gamma) % q
-    count = 0
-    for z in range(q):
-        y2 = (rhs2 - nu * z * z) % q
-        for y in roots.get(y2, ()):
-            x2 = (rhs1 - y2 - z * z) % q
-            for x in roots.get(x2, ()):
-                if (x * y * z - z * z) % q == rhs3:
-                    count += 1
+def _sqrt_mod(a: int, q: int) -> int:
+    """A square root of the square a mod the odd prime q (Tonelli-Shanks)."""
+    s, m = 0, q - 1
+    while m % 2 == 0:
+        s, m = s + 1, m // 2
+    z = 2
+    while _chi(z, q) != -1:
+        z += 1
+    c, x, t = pow(z, m, q), pow(a, (m + 1) // 2, q), pow(a, m, q)
+    while t not in (0, 1):
+        i, t2 = 0, t
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % q
+        b = pow(c, 1 << (s - i - 1), q)
+        s, c, x, t = i, b * b % q, x * b % q, t * b * b % q
+    return x
+
+
+# Polynomials over F_q are coefficient lists, constant term first, with no
+# trailing zeros; the divisors below are monic.
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _monic(a, q):
+    inv = pow(a[-1], -1, q)
+    return [c * inv % q for c in a]
+
+
+def _pdivmod(a, m, q):
+    """Quotient and remainder of a by the monic polynomial m."""
+    rem, d = a[:], len(m) - 1
+    quot = [0] * max(len(a) - d, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem[k + d]
+        if c:
+            for i in range(d + 1):
+                rem[k + i] = (rem[k + i] - c * m[i]) % q
+    return quot, _trim(rem[:d])
+
+
+def _pgcd(a, b, q):
+    """The monic gcd of a and b, a nonzero."""
+    while b:
+        b = _monic(b, q)
+        a, b = b, _pdivmod(a, b, q)[1]
+    return _monic(a, q)
+
+
+def _powmod3(base, e, f, q):
+    """base**e mod the monic cubic f, by square-and-multiply on residue
+    triples (c0, c1, c2), reducing with w^3 = -(f0 + f1 w + f2 w^2)."""
+    f0, f1, f2 = f[:3]
+
+    def mul(a, b):
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        p4 = a2 * b2 % q
+        p3 = (a1 * b2 + a2 * b1 - p4 * f2) % q
+        return ((a0 * b0 - p3 * f0) % q,
+                (a0 * b1 + a1 * b0 - p4 * f0 - p3 * f1) % q,
+                (a0 * b2 + a1 * b1 + a2 * b0 - p4 * f1 - p3 * f2) % q)
+
+    out = (1, 0, 0)
+    while e:
+        if e & 1:
+            out = mul(out, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return out
+
+
+def _minus(residue, c, q):
+    """The residue triple minus the triple c, as a trimmed polynomial."""
+    return _trim([(x - y) % q for x, y in zip(residue, c)])
+
+
+def _split_roots(g, q):
+    """The roots of g, monic of degree <= 3 with distinct roots all in F_q."""
+    if len(g) == 2:
+        return [-g[0] % q]
+    if len(g) == 3:
+        s, half = _sqrt_mod((g[1] * g[1] - 4 * g[0]) % q, q), (q + 1) // 2
+        return [(-g[1] + s) * half % q, (-g[1] - s) * half % q]
+    if len(g) == 4:
+        # Cantor-Zassenhaus: (w + a)^((q-1)/2) - 1 vanishes exactly at the
+        # roots r with r + a a nonzero square; some shift a < q separates two
+        # roots, since no proper subset of F_q is invariant under translation
+        for a in range(q):
+            h = _pgcd(g, _minus(_powmod3((a, 1, 0), (q - 1) // 2, g, q),
+                                (1, 0, 0), q), q)
+            if 1 < len(h) < 4:
+                return _split_roots(h, q) + _split_roots(_pdivmod(g, h, q)[0], q)
+    return []
+
+
+def _distinct_roots(f, q):
+    """The distinct roots in F_q of the cubic f, q an odd prime."""
+    f = _monic([c % q for c in f], q)
+    # gcd(w^q - w, f) is the product of (w - r) over the distinct roots r
+    wq = _powmod3((0, 1, 0), q, f, q)
+    return _split_roots(_pgcd(f, _minus(wq, (0, 1, 0), q), q), q)
+
+
+def _count_g3(q, alpha, beta, gamma, nu):
+    """Solutions (x, y, z) in F_q^3 of x^2 + y^2 + z^2 = R1, y^2 + nu z^2 = R2
+    and x y z - z^2 = R3, from the roots of the cubic resolvent in w = z^2."""
+    r1 = (alpha * alpha + beta * beta + gamma * gamma) % q
+    r2 = (beta * beta + nu * gamma * gamma) % q
+    r3 = (alpha * beta * gamma - gamma * gamma) % q
+    # x^2 = X(w) = x0 + x1 w and y^2 = Y(w) = y0 + y1 w
+    x0, x1, y0, y1 = (r1 - r2) % q, nu - 1, r2, -nu
+    # squaring x y z = w + R3 gives f(w) = (w + R3)^2 - w X(w) Y(w) = 0
+    f = [r3 * r3, 2 * r3 - x0 * y0, 1 - x0 * y1 - x1 * y0, -x1 * y1]
+    count = (1 + _chi(x0, q)) * (1 + _chi(y0, q)) if r3 == 0 else 0
+    for w in _distinct_roots(f, q):
+        if w:
+            # x y = (w + R3)/z fixes y from x, unless it is 0
+            n = 1 + _chi(x0 + x1 * w, q)
+            if (w + r3) % q == 0:
+                n *= 1 + _chi(y0 + y1 * w, q)
+            count += (1 + _chi(w, q)) * n
     return count
 
 
-def b0_count(g: int, q: int, trials: int = 100, seed=None, draw=None,
-             force_zero: bool = False):
-    """Solution counts on random fibres of the separating invariants."""
+def b0_count(g: int, q: int, trials: int = 100, seed=None, draw=None):
+    """Solution counts on random fibres of the separating invariants.
+
+    At g = 2 a fibre is x^2 = d, with 1 point when d = 0 or q = 2 and 2
+    otherwise.  At g = 3 it is the system solved by `_count_g3`: with
+    w = z^2, the points with z = 0 exist only when R3 = 0, and the others lie
+    over the nonzero roots w of a cubic resolvent f, found by a gcd with
+    w^q - w and Cantor-Zassenhaus splitting, so a trial costs O(log q)
+    operations.  A count is at most 3 roots x 2 square roots z x 2 sign
+    choices of x = 12.  `draw` fixes the fibre of every trial: an int whose
+    square is d at g = 2, or (alpha, beta, gamma, nu) with nu not 0 or 1
+    mod q at g = 3, where f would not be a cubic.
+    """
     if g not in (2, 3):
         raise ValueError("point counts implemented for sizes 2 and 3")
     require_prime(q, "q")
@@ -466,18 +596,14 @@ def b0_count(g: int, q: int, trials: int = 100, seed=None, draw=None,
         raise ValueError(f"size 3 needs q >= 3, got {q}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if g == 3 and draw is not None and draw[3] % q in (0, 1):
+        raise ValueError(f"nu must not be 0 or 1 mod q, got {draw[3]}")
     rng = random.Random(seed)
-    roots = _sqrt_table(q)
     counts = []
     for _ in range(trials):
         if g == 2:
-            if force_zero:
-                d = 0
-            elif draw is not None:
-                d = draw * draw % q
-            else:
-                d = rng.randrange(q) ** 2 % q
-            counts.append(len(roots.get(d, ())))
+            d = (draw if draw is not None else rng.randrange(q)) ** 2 % q
+            counts.append(1 if d == 0 or q == 2 else 2)
         else:
             if draw is not None:
                 alpha, beta, gamma, nu = draw
@@ -486,5 +612,5 @@ def b0_count(g: int, q: int, trials: int = 100, seed=None, draw=None,
                 beta = rng.randrange(1, q)
                 gamma = rng.randrange(1, q)
                 nu = rng.randrange(2, q)
-            counts.append(_count_g3(q, roots, alpha, beta, gamma, nu))
+            counts.append(_count_g3(q, alpha, beta, gamma, nu))
     return {"counts": counts, "max_count": max(counts)}

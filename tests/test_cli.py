@@ -41,6 +41,7 @@ def test_dims_half_integer(capsys):
     ("b0 --g 3 --q 4", "q"),
     ("rank --g 2 --r 0", "r"),
     ("hilbert --r -1", "r"),
+    ("relations --kind plucker --split 3", "split"),
 ])
 def test_error_names_the_bad_argument(capsys, argv, name):
     assert main(argv.split()) == 2
@@ -153,6 +154,7 @@ def test_usage_error_exit_code(capsys):
     "hilbert --variant grassmannian --r -1",
     "relations --kind plucker --indices 0,1,2",
     "relations --kind plucker --indices 0,1,2,3,4",
+    "relations --kind plucker --split 3",
     "expand --kind f_partial --index -5",
     "expand --kind f_partial --index 0",
     "expand --kind f_partial --deg -1",

@@ -570,8 +570,91 @@ def test_b0_g2():
 
 def test_b0_g2_zero_discriminant():
     # d12 = 0 admits exactly the solution q12 = 0
-    out = b0_count(2, 101, trials=1, seed=0, force_zero=True)
+    out = b0_count(2, 101, trials=1, seed=0, draw=0)
     assert out["counts"] == [1]
+
+
+def _square_roots(q):
+    table = {}
+    for x in range(q):
+        table.setdefault(x * x % q, []).append(x)
+    return table
+
+
+@pytest.mark.parametrize("q", [2, 3, 101])
+def test_b0_g2_matches_square_root_table(q):
+    roots = _square_roots(q)
+    for draw in range(q):
+        expect = len(roots[draw * draw % q])
+        assert b0_count(2, q, trials=1, draw=draw)["counts"] == [expect]
+    seeded = b0_count(2, q, trials=50, seed=4)["counts"]
+    rng = random.Random(4)
+    assert seeded == [len(roots[rng.randrange(q) ** 2 % q]) for _ in range(50)]
+
+
+def _count_g3_loop(q, alpha, beta, gamma, nu):
+    """Reference count: scan z over F_q and look x, y up in a root table."""
+    roots = _square_roots(q)
+    rhs1 = (alpha * alpha + beta * beta + gamma * gamma) % q
+    rhs2 = (beta * beta + nu * gamma * gamma) % q
+    rhs3 = (alpha * beta * gamma - gamma * gamma) % q
+    count = 0
+    for z in range(q):
+        y2 = (rhs2 - nu * z * z) % q
+        for y in roots.get(y2, ()):
+            x2 = (rhs1 - y2 - z * z) % q
+            for x in roots.get(x2, ()):
+                if (x * y * z - z * z) % q == rhs3:
+                    count += 1
+    return count
+
+
+def _g3_count(q, draw):
+    return b0_count(3, q, trials=1, draw=draw)["counts"][0]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_b0_g3_resolvent_matches_loop_on_every_draw(q):
+    for abc in itertools.product(range(1, q), repeat=3):
+        for nu in range(2, q):
+            got = _g3_count(q, abc + (nu,))
+            assert got == _count_g3_loop(q, *abc, nu) and got <= 12
+
+
+@pytest.mark.parametrize("q", [13, 101, 1009])
+def test_b0_g3_resolvent_matches_loop_on_random_draws(q):
+    rng = random.Random(q)
+    seen = set()
+    for _ in range(500):
+        draw = (rng.randrange(1, q), rng.randrange(1, q), rng.randrange(1, q),
+                rng.randrange(2, q))
+        got = _g3_count(q, draw)
+        assert got == _count_g3_loop(q, *draw) and got <= 12
+        seen.add(got)
+    assert max(seen) == 12
+
+
+def test_b0_g3_seeded_trials_follow_the_draw_order():
+    q, seed = 101, 6
+    rng = random.Random(seed)
+    draws = [(rng.randrange(1, q), rng.randrange(1, q), rng.randrange(1, q),
+              rng.randrange(2, q)) for _ in range(40)]
+    out = b0_count(3, q, trials=40, seed=seed)
+    assert out["counts"] == [_count_g3_loop(q, *d) for d in draws]
+    assert out["max_count"] == max(out["counts"])
+
+
+def test_b0_g3_large_field():
+    # a scan over F_q takes minutes at this size; the resolvent is O(log q)
+    out = b0_count(3, 1000003, trials=100, seed=1)
+    assert len(out["counts"]) == 100 and out["max_count"] <= 12
+
+
+@pytest.mark.parametrize("nu", [0, 1, 11, 12, -10])
+def test_b0_g3_rejects_a_degenerate_nu(nu):
+    # nu = 0 or 1 mod q leaves no cubic resolvent
+    with pytest.raises(ValueError, match="nu"):
+        b0_count(3, 11, trials=1, draw=(1, 2, 3, nu))
 
 
 def test_b0_g3_matches_exhaustive_oracle():
