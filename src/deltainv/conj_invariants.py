@@ -10,20 +10,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact_linalg import ExactMatrix, rank
-from .multipoly import MatrixPoly, MultiPoly, _det_rows, adjugate, \
-    charpoly_coeffs, generic_sym_matrix, wedge_power
+from .multipoly import MatrixPoly, MultiPoly, _det_rows, _mat_mul, \
+    adjugate, alternating_product, charpoly_coeffs, generic_sym_matrix, \
+    wedge_power
 from .quad_invariants import binary_discriminant
 
 
 # ---------------------------------------------------------------------------
 # numeric matrix helpers (lists of scalars)
 # ---------------------------------------------------------------------------
-
-def _mat_mul(A, B):
-    g = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(g)) for j in range(g)]
-            for i in range(g)]
-
 
 def _num_inverse(M):
     det = _det_rows(M)
@@ -66,8 +61,8 @@ def phi_q(M0, M1, q: int, field=None):
 
 def pi_n(Qs):
     """Adjugate-product tuple: (Q_0 Q_1*, Q_1 Q_2*, ..., Q_(n-1) Q_n*)."""
-    return [_mat_mul(Qs[i], adjugate(MatrixPoly(Qs[i + 1])).rows)
-            for i in range(len(Qs) - 1)]
+    return [alternating_product([MatrixPoly(A), MatrixPoly(B)]).rows
+            for A, B in zip(Qs, Qs[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -77,18 +72,13 @@ def pi_n(Qs):
 def cyclic_matrix_product(levels, g: int) -> MatrixPoly:
     """Alternating product of matrices and adjugates along a cyclic word.
 
-    The k-th factor uses the level ``max(levels[k], levels[k+1])`` (indices
-    cyclic), plain for odd positions and adjugated for even positions.
+    The k-th factor (k from 0) is ``Q^(max(levels[k], levels[k+1]))``, indices
+    cyclic, adjugated for odd k as in :func:`alternating_product`.
     """
     levels = tuple(levels)
-    n = len(levels)
-    out = None
-    for k in range(n):
-        m = max(levels[k], levels[(k + 1) % n])
-        Q = generic_sym_matrix(g, m, family="Q")
-        factor = Q if k % 2 == 0 else adjugate(Q)
-        out = factor if out is None else out @ factor
-    return out
+    return alternating_product([
+        generic_sym_matrix(g, max(a, b), family="Q")
+        for a, b in zip(levels, levels[1:] + levels[:1])])
 
 
 def y_invariant(j: int, levels, g: int) -> MultiPoly:

@@ -9,7 +9,6 @@ coercing silently.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 
 class PrecisionMismatch(ValueError):
@@ -111,10 +110,38 @@ class TruncatedPadic:
         return f"TruncatedPadic({self.p}, {self.N}, {self.residue})"
 
 
+# Miller-Rabin on the primes up to 41 is exact below PRIME_BOUND
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test, for 2 <= n < PRIME_BOUND."""
+    if any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 def require_prime(n: int, name: str = "p") -> None:
-    """Raise ``ValueError`` unless n is a prime; ``name`` is the argument
-    named in the message."""
-    if n < 2 or any(n % d == 0 for d in range(2, isqrt(n) + 1)):
+    """Raise ``ValueError`` unless n is a prime below ``PRIME_BOUND``;
+    ``name`` is the argument named in the message."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"{name} must be below {PRIME_BOUND}, got {n}")
+    if n < 2 or not _is_prime(n):
         raise ValueError(f"{name} must be prime, got {n}")
 
 

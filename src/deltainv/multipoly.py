@@ -8,6 +8,8 @@ the bound, so truncated power series are just polynomials with a sticky cap.
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -317,6 +319,12 @@ def substitute(f: MultiPoly, sigma: dict, D: int | None = None) -> MultiPoly:
 # polynomial matrices
 # ---------------------------------------------------------------------------
 
+def _mat_mul(A, B):
+    """Product of two matrices given as lists of rows, over any ring."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
 class MatrixPoly:
     def __init__(self, rows):
         self.rows = [list(r) for r in rows]
@@ -342,17 +350,7 @@ class MatrixPoly:
                            for r1, r2 in zip(self.rows, other.rows)])
 
     def __matmul__(self, other):
-        g = self.g
-        out = []
-        for i in range(g):
-            row = []
-            for j in range(g):
-                acc = MultiPoly.constant(0)
-                for k in range(g):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return MatrixPoly(out)
+        return MatrixPoly(_mat_mul(self.rows, other.rows))
 
     def __eq__(self, other):
         if not isinstance(other, MatrixPoly) or other.g != self.g:
@@ -427,6 +425,12 @@ def adjugate(M: MatrixPoly) -> MatrixPoly:
             cof = _det_rows(minor) if minor else unit
             out[j][i] = cof if (i + j) % 2 == 0 else -cof
     return MatrixPoly(out)
+
+
+def alternating_product(factors) -> MatrixPoly:
+    """F_0 adj(F_1) F_2 adj(F_3) ... for a nonempty list of matrices."""
+    return functools.reduce(operator.matmul, (
+        adjugate(F) if k % 2 else F for k, F in enumerate(factors)))
 
 
 def charpoly_coeffs(M: MatrixPoly):

@@ -19,7 +19,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, prod
 
 from .exact_arith import require_prime
 from .exact_linalg import ExactMatrix, kernel_basis
@@ -28,6 +28,7 @@ from .multipoly import (
     MultiPoly,
     SizeTooLarge,
     VarId,
+    _mat_mul,
     substitute,
     sym_det,
     uvar,
@@ -49,14 +50,8 @@ THETA_BUDGET = 10 ** 6
 
 def congruence_act(L, mats):
     """Apply M -> L M L^t to each matrix in the tuple."""
-    g = len(L)
-    out = []
-    for M in mats:
-        LM = [[sum(L[i][k] * M[k][j] for k in range(g)) for j in range(g)]
-              for i in range(g)]
-        out.append([[sum(LM[i][k] * L[j][k] for k in range(g))
-                     for j in range(g)] for i in range(g)])
-    return out
+    Lt = list(zip(*L))
+    return [_mat_mul(_mat_mul(L, M), Lt) for M in mats]
 
 
 def _entry_derivative_images(v: VarId, a: int, b: int):
@@ -318,39 +313,15 @@ def relation_check(kind: str, indices=(0, 1, 2, 3), split=None):
             raise ValueError(f"the Plucker relation needs exactly 4 distinct "
                              f"indices, got {len(indices)}")
         products = _pluecker_products(indices)
-        images = []
-        for pairs in products:
-            f = MultiPoly.constant(1)
-            for pair in pairs:
-                f = f * xi_target(pair)
-            images.append(f)
+        images = [prod(map(xi_target, pairs), start=MultiPoly.constant(1))
+                  for pairs in products]
         keys = sorted({k for f in images for k in f.terms})
-        col = {k: i for i, k in enumerate(keys)}
-        rows = []
-        for f in images:
-            row = [0] * len(keys)
-            for k, c in f.terms.items():
-                row[col[k]] = c
-            rows.append(row)
-        kern = kernel_basis(ExactMatrix([[rows[i][j] for i in range(6)]
-                                         for j in range(len(keys))]))
+        kern = kernel_basis(ExactMatrix(
+            [[f.terms.get(k, 0) for f in images] for k in keys]))
         witness = {"kernel_dimension": len(kern)}
         holds = len(kern) == 1
         if holds:
-            vec = kern[0]
-            den = 1
-            for v in vec:
-                if isinstance(v, Fraction):
-                    den = den * v.denominator // gcd(den, v.denominator)
-            ints = [int(v * den) for v in vec]
-            norm = 0
-            for v in ints:
-                norm = gcd(norm, v)
-            ints = [v // norm for v in ints]
-            if ints[0] < 0:
-                ints = [-v for v in ints]
-            witness["combination"] = [
-                (c, pairs) for c, pairs in zip(ints, products)]
+            witness["combination"] = list(zip(kern[0], products))
         return holds, witness
     raise ValueError(f"unknown relation kind: {kind}")
 

@@ -25,7 +25,7 @@ from .multipoly import (
     MatrixPoly,
     MultiPoly,
     VarId,
-    adjugate,
+    alternating_product,
     charpoly_coeffs,
     generic_sym_matrix,
     homogeneous_component,
@@ -239,10 +239,9 @@ def cyclic_word_check(levels, j: int, g: int, p: int) -> dict:
     levels = tuple(levels)
     if len(levels) % 2 or len(levels) < 2:
         raise ValueError("cycle must have positive even length")
-    n = len(levels)
-    for k in range(n):
-        if levels[k] == levels[(k + 1) % n]:
-            raise ValueError(f"cycle entries must alternate, got {levels}")
+    edges = list(zip(levels, levels[1:] + levels[:1]))
+    if any(a == b for a, b in edges):
+        raise ValueError(f"cycle entries must alternate, got {levels}")
 
     matrices = {}
 
@@ -259,17 +258,8 @@ def cyclic_word_check(levels, j: int, g: int, p: int) -> dict:
             acc = term if acc is None else acc + term
         return acc
 
-    F = None
-    Y = None
-    for k in range(n):
-        a, b = levels[k], levels[(k + 1) % n]
-        Ef = pair_sum(a, b)
-        Qm = Q(max(a, b))
-        if k % 2 == 1:
-            Ef = adjugate(Ef)
-            Qm = adjugate(Qm)
-        F = Ef if F is None else F @ Ef
-        Y = Qm if Y is None else Y @ Qm
+    F = alternating_product([pair_sum(a, b) for a, b in edges])
+    Y = alternating_product([Q(max(a, b)) for a, b in edges])
     cF = charpoly_coeffs(F)[j]
     cY = charpoly_coeffs(Y)[j]
     equal = (cF - cY).map_coeffs(lambda c: c % p).is_zero()

@@ -39,6 +39,7 @@ def test_dims_half_integer(capsys):
     ("dims --g 2 --r -1 --s 1", "r"),
     ("dims --g 2 --r 1 --s -1", "s"),
     ("b0 --g 3 --q 4", "q"),
+    ("b0 --g 3 --q 3317044064679887385961981", "q"),
     ("rank --g 2 --r 0", "r"),
     ("hilbert --r -1", "r"),
     ("relations --kind plucker --split 3", "split"),

@@ -20,11 +20,55 @@ from deltainv.exact_arith import (
     fermat_quotient,
     padic_log1p_scaled,
     rational_reduce,
+    require_prime,
 )
 
 
 def tp(p, N, c):
     return TruncatedPadic(p, N, c)
+
+
+# ---------------------------------------------------------------- require_prime
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def _accepts(n):
+    try:
+        require_prime(n)
+    except ValueError:
+        return False
+    return True
+
+
+def test_require_prime_matches_trial_division():
+    assert [n for n in range(-2, 20000) if _accepts(n)] == \
+        [n for n in range(-2, 20000) if _is_prime_by_trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [
+    561,                             # Carmichael number
+    3215031751,                      # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,             # ... to the primes up to 31
+    318665857834031151167461,        # ... to the primes up to 37
+])
+def test_require_prime_rejects_strong_pseudoprimes(n):
+    with pytest.raises(ValueError, match="must be prime"):
+        require_prime(n)
+
+
+@pytest.mark.parametrize("n", [10 ** 13 + 37, 2 ** 61 - 1,
+                               3317044064679887385961813])
+def test_require_prime_accepts_large_primes(n):
+    require_prime(n)
+
+
+def test_require_prime_refuses_beyond_its_proven_range():
+    # the bound itself is a strong pseudoprime to all thirteen bases
+    for n in (3317044064679887385961981, 10 ** 30):
+        with pytest.raises(ValueError, match="q must be below"):
+            require_prime(n, "q")
 
 
 # ---------------------------------------------------------------- rational_reduce

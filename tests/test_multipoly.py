@@ -15,6 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from deltainv.multipoly import (
     _det_rows,
+    _mat_mul,
     BadQ,
     DomainMismatch,
     MatrixPoly,
@@ -22,6 +23,7 @@ from deltainv.multipoly import (
     SymMatrixPoly,
     Tvar,
     adjugate,
+    alternating_product,
     charpoly_coeffs,
     generic_sym_matrix,
     homogeneous_component,
@@ -314,6 +316,61 @@ def test_adjugate_identity_law():
             for j in range(1, g + 1):
                 expect = det if i == j else MultiPoly.constant(0)
                 assert prod.entry(i, j) == expect
+
+
+# ---------------------------------------------------------------- matrix products
+
+def _triple_loop(A, B):
+    out = []
+    for i in range(len(A)):
+        row = []
+        for j in range(len(B[0])):
+            acc = A[i][0] * B[0][j]
+            for k in range(1, len(B)):
+                acc = acc + A[i][k] * B[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("entry", [
+    lambda rng: rng.randrange(-9, 10),
+    lambda rng: Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)),
+    lambda rng: TruncatedPadic(3, 4, rng.randrange(81)),
+    lambda rng: T(rng.randrange(2), 1, rng.randrange(1, 3))
+    * rng.randrange(-3, 4) + rng.randrange(-3, 4),
+], ids=["int", "Fraction", "TruncatedPadic", "MultiPoly"])
+def test_mat_mul_against_triple_loop(entry):
+    rng = random.Random(4)
+    for _ in range(10):
+        m, k, n = (rng.randrange(1, 4) for _ in range(3))
+        A = [[entry(rng) for _ in range(k)] for _ in range(m)]
+        B = [[entry(rng) for _ in range(n)] for _ in range(k)]
+        C = _mat_mul(A, B)
+        assert len(C) == m and all(len(row) == n for row in C)
+        assert C == _triple_loop(A, B)
+
+
+def test_alternating_product_against_hand_products():
+    rng = random.Random(12)
+
+    def mm(*Ms):
+        rows = Ms[0].rows
+        for M in Ms[1:]:
+            rows = _triple_loop(rows, M.rows)
+        return MatrixPoly(rows)
+
+    for g in (1, 2, 3):
+        numeric = [MatrixPoly([[rng.randrange(-5, 6) for _ in range(g)]
+                               for _ in range(g)]) for _ in range(4)]
+        symbolic = [generic_sym_matrix(g, level) for level in range(4)]
+        for F0, F1, F2, F3 in (numeric, symbolic):
+            adj = adjugate
+            assert alternating_product([F0]) == F0
+            assert alternating_product([F0, F1]) == mm(F0, adj(F1))
+            assert alternating_product([F0, F1, F2]) == mm(F0, adj(F1), F2)
+            assert alternating_product([F0, F1, F2, F3]) == \
+                mm(F0, adj(F1), F2, adj(F3))
 
 
 def test_charpoly_conventions():
