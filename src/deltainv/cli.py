@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
-Every subcommand runs one computation and emits a single JSON document on
-standard output (or to ``--out FILE``).  Exit codes: 0 on success, 1 when a
-verification suite reports failures, 2 on usage errors and invalid input.  Randomized
-subcommands draw from ``--seed``; when the flag is absent the environment
-variable ``DELTA_INV_SEED`` is consulted, and 0 is the final fallback.
+Every subcommand handler runs one computation and returns one JSON document,
+which ``main`` writes on standard output (or to ``--out FILE``).  Exit codes:
+0 on success, 1 when a verification suite reports failures, 2 on usage
+errors, invalid input and an unwritable ``--out``.  Randomized subcommands
+draw from ``--seed``; when the flag is absent the environment variable
+``DELTA_INV_SEED`` is consulted, and 0 is the final fallback.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from fractions import Fraction
 from .delta_calculus import canonical_delta, delta_bracket
 from .conj_invariants import jacobian_rank
 from .exact_arith import require_prime
-from .multipoly import MultiPoly, Tvar, sym_det, generic_sym_matrix
+from .multipoly import MultiPoly, Tvar, generic_sym_matrix, \
+    homogeneous_component, sym_det
 from .quad_invariants import (
     b0_count,
     hilbert_closed,
@@ -31,7 +33,6 @@ from .quad_invariants import (
     xi_lift,
 )
 from .serre_tate import (
-    club,
     diamond_realize,
     expansion_basic,
     initial_form_identity_check,
@@ -52,15 +53,6 @@ def _resolve_seed(args) -> int:
     return int(env) if env else 0
 
 
-def _emit(doc: dict, out_path) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _matrix_entries(series) -> list:
     entries = []
     for i in range(1, series.g + 1):
@@ -74,44 +66,44 @@ def _matrix_entries(series) -> list:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_dims(args, out):
-    dimension = invariant_dimension(args.g, args.r, Fraction(args.s))
-    _emit({"g": args.g, "r": args.r, "s": str(args.s),
-           "dimension": dimension}, out)
-    return 0
+def _cmd_dims(args):
+    try:
+        s = Fraction(args.s)
+    except ZeroDivisionError:
+        raise ValueError(f"s must have a nonzero denominator, got {args.s}") \
+            from None
+    dimension = invariant_dimension(args.g, args.r, s)
+    return {"g": args.g, "r": args.r, "s": str(args.s),
+            "dimension": dimension}
 
 
-def _cmd_hilbert(args, out):
+def _cmd_hilbert(args):
     coeffs = hilbert_closed(args.r, args.terms, variant=args.variant)
-    _emit({"variant": args.variant, "r": args.r, "terms": args.terms,
-           "coefficients": list(coeffs)}, out)
-    return 0
+    return {"variant": args.variant, "r": args.r, "terms": args.terms,
+            "coefficients": list(coeffs)}
 
 
-def _cmd_theta(args, out):
+def _cmd_theta(args):
     mdeg = _int_tuple(args.multidegree)
     poly = theta(args.g, mdeg)
-    _emit({"g": args.g, "multidegree": list(mdeg),
-           "polynomial": poly.serialize()}, out)
-    return 0
+    return {"g": args.g, "multidegree": list(mdeg),
+            "polynomial": poly.serialize()}
 
 
-def _cmd_upsilon(args, out):
+def _cmd_upsilon(args):
     levels = _int_tuple(args.levels)
     poly = upsilon(args.g, levels)
-    _emit({"g": args.g, "levels": list(levels),
-           "polynomial": poly.serialize()}, out)
-    return 0
+    return {"g": args.g, "levels": list(levels),
+            "polynomial": poly.serialize()}
 
 
-def _cmd_xi(args, out):
+def _cmd_xi(args):
     cycle = _int_tuple(args.cycle)
     poly = xi_lift(cycle)
-    _emit({"cycle": list(cycle), "polynomial": poly.serialize()}, out)
-    return 0
+    return {"cycle": list(cycle), "polynomial": poly.serialize()}
 
 
-def _cmd_relations(args, out):
+def _cmd_relations(args):
     indices = _int_tuple(args.indices)
     holds, witness = relation_check(args.kind, indices, split=args.split)
     doc = {"kind": args.kind, "indices": list(indices), "holds": holds}
@@ -119,20 +111,18 @@ def _cmd_relations(args, out):
         doc["split"] = args.split
     for key, value in witness.items():
         doc[key] = value if isinstance(value, (int, bool)) else str(value)
-    _emit(doc, out)
-    return 0
+    return doc
 
 
-def _cmd_expand(args, out):
+def _cmd_expand(args):
     series = expansion_basic(args.kind, args.index, args.g, args.p,
                              args.prec, args.deg)
-    _emit({"kind": args.kind, "index": args.index, "g": args.g,
-           "p": args.p, "N": args.prec, "D": args.deg,
-           "entries": _matrix_entries(series)}, out)
-    return 0
+    return {"kind": args.kind, "index": args.index, "g": args.g,
+            "p": args.p, "N": args.prec, "D": args.deg,
+            "entries": _matrix_entries(series)}
 
 
-def _cmd_diamond(args, out):
+def _cmd_diamond(args):
     if args.multidegree:
         mdeg = _int_tuple(args.multidegree)
         invariant = theta(args.g, mdeg)
@@ -146,11 +136,10 @@ def _cmd_diamond(args, out):
     doc = {"g": args.g, "r": r, "p": args.p, "N": args.prec, "D": args.deg}
     doc.update(label)
     doc["polynomial"] = poly.serialize()
-    _emit(doc, out)
-    return 0
+    return doc
 
 
-def _cmd_rank(args, out):
+def _cmd_rank(args):
     if args.r < 1:
         raise ValueError(f"r must be at least 1, got {args.r}")
     field = (1 << 31) - 1
@@ -167,17 +156,15 @@ def _cmd_rank(args, out):
         raise ValueError("rank families available for r = 1 or g = 2")
     point = {v: rng.randrange(1, field) for f in polys for v in f.variables()}
     rank = jacobian_rank(polys, point, field=field)
-    _emit({"g": args.g, "r": args.r, "rank": rank, "expected": expected,
-           "field": field, "seed": seed}, out)
-    return 0
+    return {"g": args.g, "r": args.r, "rank": rank, "expected": expected,
+            "field": field, "seed": seed}
 
 
-def _cmd_b0(args, out):
+def _cmd_b0(args):
     seed = _resolve_seed(args)
     result = b0_count(args.g, args.q, trials=args.trials, seed=seed)
-    _emit({"g": args.g, "q": args.q, "trials": args.trials, "seed": seed,
-           "max_count": result["max_count"], "counts": result["counts"]}, out)
-    return 0
+    return {"g": args.g, "q": args.q, "trials": args.trials, "seed": seed,
+            "max_count": result["max_count"], "counts": result["counts"]}
 
 
 # ---------------------------------------------------------------------------
@@ -199,66 +186,50 @@ def _suite_delta(args):
     p = args.p
     require_prime(p)
     rng = random.Random(_resolve_seed(args))
-    checks = []
-
-    def record(name, passed):
-        checks.append({"name": name, "passed": bool(passed)})
-
     for trial in range(3):
         F = _random_int_poly(rng, 3, 3)
         G = _random_int_poly(rng, 3, 3)
         corr = (F ** p + G ** p - (F + G) ** p).map_coeffs(
             lambda c: Fraction(c, p))
-        additivity = canonical_delta(F + G, p) == (
+        yield f"sum-rule-{trial}", canonical_delta(F + G, p) == (
             canonical_delta(F, p) + canonical_delta(G, p) + corr)
-        record(f"sum-rule-{trial}", additivity)
-        product = canonical_delta(F * G, p) == (
+        yield f"product-rule-{trial}", canonical_delta(F * G, p) == (
             F ** p * canonical_delta(G, p) + G ** p * canonical_delta(F, p)
             + canonical_delta(F, p) * canonical_delta(G, p) * p)
-        record(f"product-rule-{trial}", product)
 
     a, b = Tvar(0, 1, 1), Tvar(0, 1, 2)
-    record("bracket-antisymmetry",
+    yield ("bracket-antisymmetry",
            delta_bracket(a, b, p) == -delta_bracket(b, a, p))
-    record("constant-has-zero-image",
+    yield ("constant-has-zero-image",
            canonical_delta(MultiPoly.constant(1), p).is_zero())
-    return checks
 
 
 def _suite_expansions(args):
     p, N, D = args.p, args.prec, args.deg
-    checks = []
-
-    def record(name, passed):
-        checks.append({"name": name, "passed": bool(passed)})
-
     base = psi_phi_direct(1, 2, p, N, D)
     linear = reduce_rational_poly(
         Tvar(1, 1, 1, one=Fraction(1)) - Tvar(0, 1, 1, one=Fraction(1)), p, N)
-    record("linear-part", club(base.entry(1, 1), 1) == linear)
-    record("twist-route",
+    yield "linear-part", homogeneous_component(base.entry(1, 1), 1) == linear
+    yield ("twist-route",
            psi_phi_direct(2, 2, p, N, D) == phi_twist(base, p))
     angle = expansion_basic("f_angle", 1, 2, p, N, D)
-    record("angle-is-base-series", angle == base)
+    yield "angle-is-base-series", angle == base
     partial = expansion_basic("f_partial", 1, 2, p, N, D)
-    record("partial-is-identity",
+    yield ("partial-is-identity",
            all(partial.entry(i, i).constant_value() for i in (1, 2))
            and partial.entry(1, 2).is_zero())
     det0 = sym_det(generic_sym_matrix(2, level=0))
-    record("initial-form-det", initial_form_identity_check(det0, 2))
-    return checks
+    yield "initial-form-det", initial_form_identity_check(det0, 2)
 
 
-def _cmd_verify(args, out):
+def _cmd_verify(args):
     suites = {"delta": _suite_delta, "expansions": _suite_expansions}
-    if args.suite not in suites:
-        raise ValueError(f"unknown suite: {args.suite}")
-    checks = suites[args.suite](args)
-    failed = sum(1 for c in checks if not c["passed"])
-    _emit({"suite": args.suite, "total": len(checks),
-           "passed": len(checks) - failed, "failed": failed,
-           "checks": checks}, out)
-    return 1 if failed else 0
+    checks = [{"name": name, "passed": bool(passed)}
+              for name, passed in suites[args.suite](args)]
+    failed = sum(not c["passed"] for c in checks)
+    return {"suite": args.suite, "total": len(checks),
+            "passed": len(checks) - failed, "failed": failed,
+            "checks": checks}
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +307,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args, args.out)
+        doc = args.handler(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    text = json.dumps(doc, indent=2) + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    return 1 if args.command == "verify" and doc["failed"] else 0
 
 
 if __name__ == "__main__":

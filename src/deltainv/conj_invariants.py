@@ -13,7 +13,6 @@ from .exact_linalg import ExactMatrix, rank
 from .multipoly import MatrixPoly, MultiPoly, _det_rows, _mat_mul, \
     adjugate, alternating_product, charpoly_coeffs, generic_sym_matrix, \
     wedge_power
-from .quad_invariants import binary_discriminant
 
 
 # ---------------------------------------------------------------------------
@@ -47,16 +46,14 @@ def trace_word(j: int, word, mats):
     return charpoly_coeffs(MatrixPoly(P))[j]
 
 
-def phi_q(M0, M1, q: int, field=None):
-    """Determinant of the commutator of the q-th exterior powers, reduced
-    mod ``field`` when one is given (the entries are then integers)."""
+def phi_q(M0, M1, q: int):
+    """Determinant of the commutator of the q-th exterior powers."""
     A = wedge_power(MatrixPoly(M0), q).rows
     B = wedge_power(MatrixPoly(M1), q).rows
     AB = _mat_mul(A, B)
     BA = _mat_mul(B, A)
-    det = _det_rows([[a - b for a, b in zip(r1, r2)]
-                     for r1, r2 in zip(AB, BA)])
-    return det % field if field is not None else det
+    return _det_rows([[a - b for a, b in zip(r1, r2)]
+                      for r1, r2 in zip(AB, BA)])
 
 
 def pi_n(Qs):
@@ -87,15 +84,16 @@ def y_invariant(j: int, levels, g: int) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Jacobian ranks and discriminants
+# Jacobian ranks
 # ---------------------------------------------------------------------------
 
-def jacobian_rows(polys, point: dict, field=None):
+def jacobian_rows(polys, point: dict):
     """Gradients of the family at the point, over its sorted variables.
 
     One pass over each polynomial's terms: the term c * prod x_w^(e_w) adds
     c * e_v * x_v^(e_v - 1) * prod_{w != v} x_w^(e_w) to the entry of each
-    of its variables v.  Entries are reduced mod ``field`` when one is given.
+    of its variables v.  Entries are exact; :func:`jacobian_rank` reduces
+    them mod p.
     """
     vars_ = sorted({v for f in polys for v in f.variables()})
     col = {v: k for k, v in enumerate(vars_)}
@@ -108,15 +106,11 @@ def jacobian_rows(polys, point: dict, field=None):
                 for w, d in key:
                     term = term * point[w] ** (d - 1 if w == v else d)
                 row[col[v]] += term
-        rows.append(row if field is None else [x % field for x in row])
+        rows.append(row)
     return rows
 
 
 def jacobian_rank(polys, point: dict, field=None) -> int:
-    """Rank of the Jacobian of the polynomial family at the given point."""
-    return rank(ExactMatrix(jacobian_rows(polys, point, field), field=field))
-
-
-def disc0(coeffs):
-    """Discriminant of the monic polynomial with the given coefficients."""
-    return binary_discriminant(coeffs)
+    """Rank of the Jacobian of the polynomial family at the given point,
+    over Q or, when ``field`` is a prime p, over F_p."""
+    return rank(ExactMatrix(jacobian_rows(polys, point), field=field))

@@ -274,11 +274,6 @@ class MultiPoly:
         return " + ".join(bits)
 
 
-def poly_mul_trunc(f: MultiPoly, g: MultiPoly, D: int) -> MultiPoly:
-    """Product of f and g with all terms of degree > D discarded."""
-    return f.truncate(D) * g.truncate(D)
-
-
 def homogeneous_component(f: MultiPoly, d: int) -> MultiPoly:
     return MultiPoly({k: c for k, c in f.terms.items()
                       if _key_degree(k) == d})

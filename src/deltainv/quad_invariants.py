@@ -24,13 +24,12 @@ from math import comb, factorial, prod
 from .exact_arith import require_prime
 from .exact_linalg import ExactMatrix, kernel_basis
 from .multipoly import (
-    MatrixPoly,
     MultiPoly,
     SizeTooLarge,
     VarId,
+    _det_rows,
     _mat_mul,
     substitute,
-    sym_det,
     uvar,
     vvar,
 )
@@ -212,9 +211,8 @@ def upsilon(g: int, levels) -> MultiPoly:
     if len(levels) != n:
         raise BadLevels(f"need {n} levels for size {g}, got {len(levels)}")
     pairs = [(i, j) for i in range(1, g + 1) for j in range(i, g + 1)]
-    rows = [[MultiPoly.var(VarId("T", q, i, j)) for q in levels]
-            for (i, j) in pairs]
-    return sym_det(MatrixPoly(rows))
+    return _det_rows([[MultiPoly.var(VarId("T", q, i, j)) for q in levels]
+                      for (i, j) in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -352,52 +350,38 @@ def hilbert_closed(r: int, terms: int, variant: str = "even"):
 # discriminants and the separating invariant
 # ---------------------------------------------------------------------------
 
-def _disc_generic(g: int) -> MultiPoly:
-    """Discriminant of a degree-g binary form in its coefficient variables.
+def _discriminant(cs):
+    """Discriminant of the binary form F = sum_j c_j x^(g-j) y^j, over any
+    commutative ring whose values scale by a Fraction.
 
-    Built as the Sylvester resultant of f and df/dt divided by the leading
-    coefficient, with the usual alternating sign.
+    By Euler's identity g F = x F_x + y F_y it is (-1)^(g(g-1)/2)
+    Res(F_x, F_y) / g^(g-2), with the resultant the determinant of the
+    (2g-2)-square Sylvester matrix of the two partials.  No leading
+    coefficient is divided out, so c_0 = 0 needs no special case.
     """
-    cs = [MultiPoly.var(VarId("c", j, 0, 0)) for j in range(g + 1)]
-    n = 2 * g - 1
-    rows = []
-    for k in range(g - 1):                     # rows of f
-        row = [MultiPoly.constant(0)] * n
-        for j in range(g + 1):
-            row[k + j] = cs[j]
-        rows.append(row)
-    for k in range(g):                         # rows of f'
-        row = [MultiPoly.constant(0)] * n
-        for j in range(g):
-            row[k + j] = cs[j] * (g - j)
-        rows.append(row)
-    res = sym_det(MatrixPoly(rows))
-    lead = VarId("c", 0, 0, 0)
-    out = {}
-    for key, coeff in res.terms.items():
-        exps = dict(key)
-        if exps.get(lead, 0) < 1:
-            raise ValueError("resultant not divisible by the leading term")
-        exps[lead] -= 1
-        new = tuple(sorted((v, e) for v, e in exps.items() if e))
-        out[new] = out.get(new, 0) + coeff
-    sign = (-1) ** (g * (g - 1) // 2)
-    return MultiPoly(out) * sign
+    g = len(cs) - 1
+    if g < 1:
+        raise ValueError(f"a binary form needs degree at least 1, got {g}")
+    fx = [c * (g - j) for j, c in enumerate(cs[:-1])]
+    fy = [c * j for j, c in enumerate(cs) if j]
+    zero = cs[0] * 0
+    rows = [[zero] * k + f + [zero] * (g - 2 - k)
+            for f in (fx, fy) for k in range(g - 1)]
+    # a linear form has no partials to eliminate: its discriminant is 1
+    res = _det_rows(rows) if rows else cs[0] ** 0
+    return res * Fraction((-1) ** (g * (g - 1) // 2), g ** max(g - 2, 0))
 
 
 def binary_discriminant(coeffs):
-    """Discriminant of the binary form with the given coefficient list."""
-    g = len(coeffs) - 1
-    disc = _disc_generic(g)
-    values = {VarId("c", j, 0, 0): coeffs[j] for j in range(g + 1)}
-    return disc.evaluate(values)
+    """Discriminant of the binary form with the given coefficient list,
+    leading coefficient first; degree at most 4 (a 6 x 6 determinant)."""
+    disc = _discriminant(list(coeffs))
+    return int(disc) if disc.denominator == 1 else disc
 
 
 def tact_invariant(g: int) -> MultiPoly:
-    """Discriminant of det(y0 T + y1 T'), expanded in the theta generators."""
-    disc = _disc_generic(g)
-    sigma = {VarId("c", j, 0, 0): theta(g, (g - j, j)) for j in range(g + 1)}
-    return substitute(disc.map_coeffs(Fraction), sigma)
+    """Discriminant of det(y0 T + y1 T'), whose coefficients are thetas."""
+    return _discriminant([theta(g, (g - j, j)) for j in range(g + 1)])
 
 
 def separating_F0(g: int, p: int) -> MultiPoly:

@@ -1,11 +1,11 @@
 """Truncated p-adic expansion engine.
 
 The basic object is the entrywise series
-``psi(t, t') = (1/p) log((1 + t^phi) / (1 + t)^p)`` where ``t^phi`` is the
-Frobenius lift ``t^p + p t'``.  Everything is computed as a polynomial
-truncated at a total degree D, with coefficients either exact rationals or
-truncated p-adic residues at precision N.  Every matrix entry carries the
-same series in its own variables, so each twist level's series is built once,
+``(1/p) log((1 + t^phi) / (1 + t)^p)``, where ``t^phi`` is the Frobenius lift
+``t^p + p t'``.  Everything is computed as a polynomial truncated at a total
+degree D, with coefficients either exact rationals or truncated p-adic
+residues at precision N.  Every matrix entry carries the same series in its
+own variables, so each twist level's series is built once,
 in the entry variable ``T^(0)_11``, and renamed for every entry.
 
 The lift is a ring endomorphism, so every twisted series is a difference of
@@ -38,11 +38,6 @@ def reduce_rational_poly(f: MultiPoly, p: int, N: int) -> MultiPoly:
     return f.map_coeffs(lambda c: rational_reduce(c, p, N))
 
 
-def club(f: MultiPoly, d: int) -> MultiPoly:
-    """Homogeneous component of total degree d."""
-    return homogeneous_component(f, d)
-
-
 # ---------------------------------------------------------------------------
 # the scalar series and its twists
 # ---------------------------------------------------------------------------
@@ -50,23 +45,14 @@ def club(f: MultiPoly, d: int) -> MultiPoly:
 _ENTRY = VarId("T", 0, 1, 1)
 
 
-def _log1p(x: MultiPoly, D: int) -> MultiPoly:
-    """``log(1 + x)`` with exact rational coefficients, truncated at degree
-    D, for x without constant term."""
-    out = MultiPoly.constant(Fraction(0)).truncate(D)
-    xn = MultiPoly.constant(1).truncate(D)
-    for n in range(1, D + 1):
-        xn = xn * x
-        out = out + xn * Fraction((-1) ** (n + 1), n)
-    return out
-
-
 def _log_entry(D: int) -> MultiPoly:
-    """``L = log(1 + T^(0)_11)`` truncated at degree D: every twist level's
-    series is a combination of Frobenius lifts of L."""
+    """``L = log(1 + T^(0)_11)`` with exact rational coefficients, truncated
+    at degree D: every twist level's series is a combination of Frobenius
+    lifts of L."""
     if D < 0:
         raise ValueError(f"degree bound must be nonnegative, got {D}")
-    return _log1p(MultiPoly.var(_ENTRY).truncate(D), D)
+    return MultiPoly({((_ENTRY, n),): Fraction((-1) ** (n + 1), n)
+                      for n in range(1, D + 1)}, trunc=D)
 
 
 def _log_series(a: int, p: int, D: int) -> MultiPoly:
@@ -108,11 +94,6 @@ def _entrywise(f: MultiPoly, g: int, p: int, N: int) -> MatrixPoly:
 def psi_phi_direct(a: int, g: int, p: int, N: int, D: int) -> MatrixPoly:
     """The (a-1)-fold twisted series, built directly from Frobenius iterates."""
     return _entrywise(_log_series(a, p, D), g, p, N)
-
-
-def psi(g: int, p: int, N: int, D: int) -> MatrixPoly:
-    """The basic entrywise series in the level-0 and level-1 variables."""
-    return psi_phi_direct(1, g, p, N, D)
 
 
 def phi_twist(S: MatrixPoly, p: int) -> MatrixPoly:
@@ -169,8 +150,7 @@ def diamond_realize(F: MultiPoly, r: int, g: int, p: int, N: int,
             series[v.level] = reduce_rational_poly(
                 _log_series(v.level + 1, p, D), p, N)
         sigma[v] = _rename(series[v.level], v.i, v.j)
-    G = F.map_coeffs(lambda c: rational_reduce(c, p, N))
-    return substitute(G, sigma, D)
+    return substitute(reduce_rational_poly(F, p, N), sigma, D)
 
 
 def spade(F: MultiPoly, D: int, p: int = 3) -> MultiPoly:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from deltainv import cli
 from deltainv.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -163,6 +164,8 @@ def test_usage_error_exit_code(capsys):
     "dims --g -1 --r 1 --s 1",
     "dims --g 2 --r -1 --s 1",
     "dims --g 2 --r 1 --s -1",
+    "dims --g 2 --r 1 --s 1/0",
+    "dims --g 2 --r 1 --s 1 --out /nonexistent/x.json",
     "theta --g 0 --multidegree 0",
     "diamond --g 0",
     "rank --g 0 --r 1",
@@ -189,6 +192,16 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["dimension"] == 1
+
+
+def test_failed_verification_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "initial_form_identity_check",
+                        lambda F, D: False)
+    code, out = run_cli(capsys, "verify", "--suite", "expansions", "--p", "3",
+                        "--prec", "2", "--deg", "3")
+    doc = json.loads(out)
+    assert code == 1 and doc["failed"] == 1
+    assert doc["passed"] == doc["total"] - 1
 
 
 def _readme_commands():

@@ -28,7 +28,6 @@ from deltainv.multipoly import (
     generic_sym_matrix,
     homogeneous_component,
     identity_matrix,
-    poly_mul_trunc,
     substitute,
     sym_det,
     var_name,
@@ -46,19 +45,19 @@ def T(l, i, j):
 
 def test_mul_identity():
     f = T(0, 1, 1) * T(0, 2, 2) + T(0, 1, 2) * 3
-    assert poly_mul_trunc(f, MultiPoly.constant(1), 10) == f
+    assert f.truncate(10) * MultiPoly.constant(1).truncate(10) == f
 
 
 def test_truncation_drops_high_degree():
     one = MultiPoly.constant(1)
     f = one + T(0, 1, 1)
     g = one - T(0, 1, 1)
-    assert poly_mul_trunc(f, g, 1) == one
+    assert f.truncate(1) * g.truncate(1) == one
 
 
 def test_square_hand_expansion():
     f = T(0, 1, 1) + T(0, 1, 2)
-    sq = poly_mul_trunc(f, f, 2)
+    sq = f.truncate(2) * f.truncate(2)
     expect = (T(0, 1, 1) ** 2 + T(0, 1, 2) ** 2
               + T(0, 1, 1) * T(0, 1, 2) * 2)
     assert sq == expect
@@ -120,7 +119,7 @@ def test_domain_mismatch():
     f = Tvar(0, 1, 1, one=Fraction(1))
     g = Tvar(0, 1, 1, one=TruncatedPadic(3, 2, 1))
     with pytest.raises(DomainMismatch):
-        poly_mul_trunc(f, g, 4)
+        f.truncate(4) * g.truncate(4)
 
 
 # ---------------------------------------------------------------- substitution

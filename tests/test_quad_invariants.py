@@ -682,6 +682,70 @@ def test_binary_discriminant_quadratic():
     assert binary_discriminant([1, b, c]) == b * b - 4 * c
 
 
+def _sympy_discriminant(cs):
+    t = sympy.Symbol("t")
+    g = len(cs) - 1
+    return sympy.discriminant(
+        sum(sympy.Integer(c) * t ** (g - j) for j, c in enumerate(cs)), t)
+
+
+def test_binary_discriminant_detects_multiple_roots():
+    # (t-1)^2 (t-2) = t^3 - 4t^2 + 5t - 2
+    assert binary_discriminant([1, -4, 5, -2]) == 0
+    # (t-1)(t-2)(t-3) has distinct roots
+    assert binary_discriminant([1, -6, 11, -6]) != 0
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_binary_discriminant_against_sympy(g):
+    rng = random.Random(400 + g)
+    for _ in range(10):
+        cs = [rng.choice((-1, 1)) * rng.randrange(1, 8)] + \
+            [rng.randrange(-7, 8) for _ in range(g)]
+        assert binary_discriminant(cs) == _sympy_discriminant(cs)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_binary_discriminant_with_zero_leading_coefficient(g):
+    # disc(c_0, ..., c_g) = disc(c_g, ..., c_0); with c_0 = 0 the reversed
+    # form has a nonzero leading coefficient whenever c_g != 0
+    rng = random.Random(500 + g)
+    for _ in range(10):
+        cs = [0] + [rng.randrange(-7, 8) for _ in range(g)]
+        disc = binary_discriminant(cs)
+        assert disc == binary_discriminant(cs[::-1])
+        if cs[-1]:
+            assert disc == _sympy_discriminant(cs[::-1])
+
+
+def test_binary_discriminant_refuses_degree_five():
+    with pytest.raises(SizeTooLarge):
+        binary_discriminant([1, 0, 0, 0, 0, 1])
+
+
+def test_tact_invariant_cubic_against_sympy():
+    # the discriminant of the binary cubic det(y0 T + y1 T') at integer
+    # points, against sympy's discriminant of det(t T + T')
+    J = tact_invariant(3)
+    rng = random.Random(3030)
+    t = sympy.Symbol("t")
+    for _ in range(5):
+        mats = []
+        for _ in range(2):
+            M = [[0] * 3 for _ in range(3)]
+            for i in range(3):
+                for j in range(i, 3):
+                    M[i][j] = M[j][i] = rng.randrange(-4, 5)
+            mats.append(M)
+        T0, T1 = (sympy.Matrix(M) for M in mats)
+        if T0.det() == 0:
+            continue
+        point = {VarId("T", l, i + 1, j + 1): mats[l][i][j]
+                 for l in range(2) for i in range(3) for j in range(i, 3)}
+        assert J.evaluate(point) == \
+            sympy.discriminant((t * T0 + T1).det(), t)
+
+
 def test_tact_invariant_values():
     J = tact_invariant(2)
     point_eq = {}

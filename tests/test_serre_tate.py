@@ -13,19 +13,18 @@ from hypothesis import strategies as st
 
 from deltainv.delta_calculus import frobenius_lift
 from deltainv.exact_arith import TruncatedPadic, rational_reduce
-from deltainv.multipoly import MultiPoly, Tvar, VarId, sym_det
+from deltainv.multipoly import (MultiPoly, Tvar, VarId, homogeneous_component,
+                                 sym_det)
 from deltainv.serre_tate import (
     _ENTRY,
-    _log1p,
+    _log_entry,
     _log_series,
-    club,
     cyclic_word_check,
     diamond_realize,
     difference_substitution,
     expansion_basic,
     initial_form_identity_check,
     phi_twist,
-    psi,
     psi_phi_direct,
     reduce_rational_poly,
     spade,
@@ -45,19 +44,19 @@ def theta11():
 # ---------------------------------------------------------------- psi
 
 def test_psi_has_no_constant_term():
-    S = psi(2, 3, 2, 3)
+    S = psi_phi_direct(1, 2, 3, 2, 3)
     for i in range(1, 3):
         for j in range(i, 3):
             entry = S.entry(i, j)
-            assert club(entry, 0).is_zero()
+            assert homogeneous_component(entry, 0).is_zero()
 
 
 def test_psi_linear_part_is_difference():
     for p in (2, 3):
-        S = psi(2, p, 2, 4)
+        S = psi_phi_direct(1, 2, p, 2, 4)
         for i in range(1, 3):
             for j in range(i, 3):
-                lin = club(S.entry(i, j), 1)
+                lin = homogeneous_component(S.entry(i, j), 1)
                 expect = reduce_rational_poly(
                     Tvar(1, i, j, one=Fraction(1)) - Tvar(0, i, j, one=Fraction(1)),
                     p, 2)
@@ -66,25 +65,43 @@ def test_psi_linear_part_is_difference():
 
 def test_psi_scalar_specialization():
     # psi at (t, t') = (0, 1) equals the scalar (1/p) log(1 + p)
-    S = psi(1, 3, 2, 8)
+    S = psi_phi_direct(1, 1, 3, 2, 8)
     values = {VarId("T", 0, 1, 1): TruncatedPadic(3, 2, 0),
               VarId("T", 1, 1, 1): TruncatedPadic(3, 2, 1)}
     got = S.entry(1, 1).evaluate(values)
     # oracle value established in test_exact_arith: 7 mod 9
     assert got == TruncatedPadic(3, 2, 7)
 
-    S2 = psi(1, 2, 3, 12)
+    S2 = psi_phi_direct(1, 1, 2, 3, 12)
     values2 = {VarId("T", 0, 1, 1): TruncatedPadic(2, 3, 0),
                VarId("T", 1, 1, 1): TruncatedPadic(2, 3, 1)}
     assert S2.entry(1, 1).evaluate(values2) == TruncatedPadic(2, 3, 2)
 
 
 def test_psi_is_symmetric():
-    S = psi(2, 3, 2, 3)
+    S = psi_phi_direct(1, 2, 3, 2, 3)
     assert S.entry(2, 1) == S.entry(1, 2)
 
 
 # ---------------------------------------------------------------- the series
+
+def _log1p(x, D):
+    """``log(1 + x)`` truncated at degree D, for x without constant term,
+    as the partial sum of its Mercator series in powers of x."""
+    out = MultiPoly.constant(Fraction(0)).truncate(D)
+    xn = MultiPoly.constant(1).truncate(D)
+    for n in range(1, D + 1):
+        xn = xn * x
+        out = out + xn * Fraction((-1) ** (n + 1), n)
+    return out
+
+
+@pytest.mark.parametrize("D", range(7))
+def test_log_entry_is_the_logarithm_of_the_entry(D):
+    got = _log_entry(D)
+    assert got.terms == _log1p(MultiPoly.var(_ENTRY).truncate(D), D).terms
+    assert got.trunc == D
+
 
 def _log_series_binomial_reference(a, p, D):
     """The twisted series without the logarithm of a lift: with B the
@@ -144,14 +161,14 @@ def test_frobenius_lift_commutes_with_log(x, p, D):
 def test_route_equality_small():
     for (p, N, D) in ((3, 2, 4), (2, 2, 3)):
         a2_direct = psi_phi_direct(2, 1, p, N, D)
-        a2_twist = phi_twist(psi(1, p, N, D), p)
+        a2_twist = phi_twist(psi_phi_direct(1, 1, p, N, D), p)
         assert a2_direct.entry(1, 1) == a2_twist.entry(1, 1)
 
 
 def test_route_equality_a3_g2():
     p, N, D = 3, 2, 3
     direct = psi_phi_direct(3, 2, p, N, D)
-    twisted = phi_twist(phi_twist(psi(2, p, N, D), p), p)
+    twisted = phi_twist(phi_twist(psi_phi_direct(1, 2, p, N, D), p), p)
     for i in range(1, 3):
         for j in range(i, 3):
             assert direct.entry(i, j) == twisted.entry(i, j)
@@ -163,7 +180,7 @@ def test_twisted_linear_part():
         S = psi_phi_direct(2, 2, p, 2, 4)
         for i in range(1, 3):
             for j in range(i, 3):
-                lin = club(S.entry(i, j), 1)
+                lin = homogeneous_component(S.entry(i, j), 1)
                 expect = reduce_rational_poly(
                     (Tvar(2, i, j, one=Fraction(1)) - Tvar(1, i, j, one=Fraction(1))) * p,
                     p, 2)
@@ -183,7 +200,7 @@ def test_basic_form_partial_is_identity():
 
 def test_basic_form_angle_one_is_psi():
     S = expansion_basic("f_angle", 1, 2, 3, 2, 3)
-    P = psi(2, 3, 2, 3)
+    P = psi_phi_direct(1, 2, 3, 2, 3)
     for i in range(1, 3):
         for j in range(i, 3):
             assert S.entry(i, j) == P.entry(i, j)
@@ -196,7 +213,7 @@ def test_full_form_is_sum_of_twisted_psi(kind, a, p):
     # independent route: sum of p^i times the (a-1-i)-fold Frobenius lift of
     # the level-1 series; g = 3 covers off-diagonal and transposed entries
     N, D = 2, 4
-    S = psi(3, p, N, D)
+    S = psi_phi_direct(1, 3, p, N, D)
     twists = [S]
     for _ in range(a - 1):
         twists.append(phi_twist(twists[-1], p))
@@ -227,7 +244,8 @@ def test_key_identity_expansion_level():
         for N in (2, 3):
             for D in (3, 4):
                 lhs = expansion_basic("f_r", 2, 2, p, N, D)
-                rhs = phi_twist(psi(2, p, N, D), p) + psi(2, p, N, D).scale(p)
+                base = psi_phi_direct(1, 2, p, N, D)
+                rhs = phi_twist(base, p) + base.scale(p)
                 for i in range(1, 3):
                     for j in range(i, 3):
                         assert lhs.entry(i, j) == rhs.entry(i, j)
@@ -245,17 +263,17 @@ def test_club_of_diamond_det():
     # degree-2 part of det(psi) is det(T' - T): direct truncation oracle
     p, N, D = 3, 2, 4
     out = diamond_realize(detT(), 1, 2, p, N, D)
-    oracle = club(sym_det(psi(2, p, N, D)), 2)
-    assert club(out, 2) == oracle
+    oracle = homogeneous_component(sym_det(psi_phi_direct(1, 2, p, N, D)), 2)
+    assert homogeneous_component(out, 2) == oracle
     heart = difference_substitution(detT(), p)
-    assert club(out, 2) == reduce_rational_poly(heart, p, N)
+    assert homogeneous_component(out, 2) == reduce_rational_poly(heart, p, N)
 
 
 def test_club_of_diamond_theta():
     p, N, D = 3, 2, 4
     out = diamond_realize(theta11(), 2, 2, p, N, D)
     heart = difference_substitution(theta11(), p)
-    assert club(out, 2) == reduce_rational_poly(heart, p, N)
+    assert homogeneous_component(out, 2) == reduce_rational_poly(heart, p, N)
 
 
 def test_diamond_congruence_stability():
