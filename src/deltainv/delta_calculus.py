@@ -2,10 +2,11 @@
 
 Variables carry a level: ``z`` is level 0, ``z'`` level 1, and so on.  The
 Frobenius lift sends a level-l variable to ``v**p + p * v_next``; the
-p-derivation is ``delta(F) = (phi(F) - F**p) / p``, computed exactly over
-the rationals.  Weights live in the polynomial ring Z[phi]; a polynomial is
-graded-homogeneous when its expansion in Frobenius-iterate coordinates has
-a single weight component.
+p-derivation is ``delta(F) = (phi(F) - F**p) / p``, computed exactly: over
+the integers for integer input, since phi(F) = F**p mod p, and over the
+rationals otherwise.  Weights live in the polynomial ring Z[phi]; a
+polynomial is graded-homogeneous when its expansion in Frobenius-iterate
+coordinates has a single weight component.
 """
 
 from __future__ import annotations
@@ -83,16 +84,23 @@ def frobenius_lift(F: MultiPoly, p: int) -> MultiPoly:
     return substitute(F, sigma)
 
 
+def _divide_by_p(F: MultiPoly, p: int) -> MultiPoly:
+    """F / p coefficientwise: an ``int`` divisible by p stays an ``int``,
+    any other coefficient becomes a ``Fraction``."""
+    return F.map_coeffs(lambda c: c // p if isinstance(c, int) and c % p == 0
+                        else Fraction(c, p))
+
+
 def canonical_delta(F: MultiPoly, p: int) -> MultiPoly:
-    """The p-derivation ``(phi(F) - F**p) / p``, exact over Q."""
-    num = frobenius_lift(F, p) - F ** p
-    return num.map_coeffs(lambda c: Fraction(c, p))
+    """The p-derivation ``(phi(F) - F**p) / p``: over Z for integer F, since
+    phi(F) = F**p mod p, and over Q otherwise."""
+    return _divide_by_p(frobenius_lift(F, p) - F ** p, p)
 
 
 def delta_bracket(b1: MultiPoly, b2: MultiPoly, p: int) -> MultiPoly:
-    """``(b1**p phi(b2) - b2**p phi(b1)) / p``, exact over Q."""
+    """``(b1**p phi(b2) - b2**p phi(b1)) / p``, over Z for integer b1, b2."""
     num = (b1 ** p) * frobenius_lift(b2, p) - (b2 ** p) * frobenius_lift(b1, p)
-    return num.map_coeffs(lambda c: Fraction(c, p))
+    return _divide_by_p(num, p)
 
 
 def phi_coordinate(i: int, j: int) -> MultiPoly:

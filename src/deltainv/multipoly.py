@@ -4,6 +4,14 @@ Monomials are stored as sorted tuples of ``(VarId, exponent)`` pairs mapping
 to exact coefficients (int, Fraction, or TruncatedPadic).  A polynomial may
 carry a degree bound (``trunc``); every operation on such a value re-applies
 the bound, so truncated power series are just polynomials with a sticky cap.
+
+Results are built in one of two ways.  The public ``MultiPoly(terms, trunc)``
+drops every term above the bound and every zero coefficient.  Products,
+negations, coefficient maps and sums of operands with the same bound produce
+only monomials within the bound already, so they go through the private
+``MultiPoly._build``, which drops zero coefficients only; a product skips the
+pairs above the bound before multiplying them, testing the degree room once
+per left-hand monomial, and tests no degree at all when untruncated.
 """
 
 from __future__ import annotations
@@ -120,6 +128,15 @@ class MultiPoly:
                 if coeff:
                     self.terms[key] = coeff
 
+    @classmethod
+    def _build(cls, terms, trunc) -> "MultiPoly":
+        """A result whose monomials are all within ``trunc``: only zero
+        coefficients are dropped."""
+        self = object.__new__(cls)
+        self.trunc = trunc
+        self.terms = {k: c for k, c in terms.items() if c}
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -155,8 +172,8 @@ class MultiPoly:
         return MultiPoly(self.terms, trunc=D)
 
     def map_coeffs(self, fn) -> "MultiPoly":
-        return MultiPoly({k: fn(c) for k, c in self.terms.items()},
-                         trunc=self.trunc)
+        return MultiPoly._build({k: fn(c) for k, c in self.terms.items()},
+                                self.trunc)
 
     def derivative(self, vid: VarId) -> "MultiPoly":
         out = {}
@@ -212,12 +229,15 @@ class MultiPoly:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out[k] + c if k in out else c
+        if self.trunc == other.trunc:
+            return MultiPoly._build(out, self.trunc)
         return MultiPoly(out, self._combine_trunc(self.trunc, other.trunc))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly({k: -c for k, c in self.terms.items()}, self.trunc)
+        return MultiPoly._build({k: -c for k, c in self.terms.items()},
+                                self.trunc)
 
     def __sub__(self, other):
         other = self._as_poly(other)
@@ -235,15 +255,26 @@ class MultiPoly:
         _check_domains(self, other)
         trunc = self._combine_trunc(self.trunc, other.trunc)
         out = {}
+        if trunc is None:
+            right = other.terms.items()
+            for k1, c1 in self.terms.items():
+                for k2, c2 in right:
+                    k = _key_mul(k1, k2)
+                    c = c1 * c2
+                    out[k] = out[k] + c if k in out else c
+            return MultiPoly._build(out, None)
+        right = [(k2, c2, _key_degree(k2)) for k2, c2 in other.terms.items()]
         for k1, c1 in self.terms.items():
-            d1 = _key_degree(k1)
-            for k2, c2 in other.terms.items():
-                if trunc is not None and d1 + _key_degree(k2) > trunc:
+            room = trunc - _key_degree(k1)
+            if room < 0:
+                continue
+            for k2, c2, d2 in right:
+                if d2 > room:
                     continue
                 k = _key_mul(k1, k2)
                 c = c1 * c2
                 out[k] = out[k] + c if k in out else c
-        return MultiPoly(out, trunc)
+        return MultiPoly._build(out, trunc)
 
     __rmul__ = __mul__
 

@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltainv.delta_calculus import (
     Weight,
@@ -19,7 +21,7 @@ from deltainv.delta_calculus import (
     phi_coordinate,
     phi_to_levels,
 )
-from deltainv.multipoly import MultiPoly, zvar
+from deltainv.multipoly import MultiPoly, VarId, zvar
 
 
 def z(i, level=0):
@@ -108,6 +110,47 @@ def test_phi_equals_power_plus_p_delta():
                 f = f + v * rng.randrange(-2, 3)
             f = f + z(0) * z(1) * rng.randrange(-2, 3)
             assert frobenius_lift(f, p) == f ** p + canonical_delta(f, p) * p
+
+
+_Z_VARS = [VarId("z", 0, 0, 0), VarId("z", 0, 1, 0), VarId("z", 1, 0, 0)]
+
+
+@st.composite
+def _int_polys(draw):
+    exps = st.tuples(*[st.integers(0, 2)] * len(_Z_VARS))
+    terms = draw(st.dictionaries(exps, st.integers(-3, 3), max_size=3))
+    return MultiPoly({tuple((v, e) for v, e in zip(_Z_VARS, key) if e): c
+                      for key, c in terms.items()})
+
+
+def _divided_over_q(num, p):
+    return (num * Fraction(1, p)).terms
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(p=st.sampled_from((2, 3, 5, 7)), F=_int_polys(), G=_int_polys())
+def test_delta_of_integer_polynomial_is_integral(p, F, G):
+    # phi(F) = F^p mod p, so the division by p is exact in Z[z]
+    dF = canonical_delta(F, p)
+    assert dF.terms == _divided_over_q(frobenius_lift(F, p) - F ** p, p)
+    br = delta_bracket(F, G, p)
+    assert br.terms == _divided_over_q(
+        F ** p * frobenius_lift(G, p) - G ** p * frobenius_lift(F, p), p)
+    assert all(type(c) is int for c in dF.terms.values())
+    assert all(type(c) is int for c in br.terms.values())
+
+
+def test_delta_of_non_integral_polynomial_stays_rational():
+    for p in (2, 3, 5, 7):
+        F = z(0) * Fraction(1, 2)
+        G = z(1) + Fraction(1, 3)
+        dF = canonical_delta(F, p)
+        assert dF.terms == _divided_over_q(frobenius_lift(F, p) - F ** p, p)
+        assert all(type(c) is Fraction for c in dF.terms.values())
+        br = delta_bracket(F, G, p)
+        assert br.terms == _divided_over_q(
+            F ** p * frobenius_lift(G, p) - G ** p * frobenius_lift(F, p), p)
+        assert all(type(c) is Fraction for c in br.terms.values())
 
 
 # ---------------------------------------------------------------- bracket

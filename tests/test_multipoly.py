@@ -120,6 +120,85 @@ def test_domain_mismatch():
     g = Tvar(0, 1, 1, one=TruncatedPadic(3, 2, 1))
     with pytest.raises(DomainMismatch):
         f.truncate(4) * g.truncate(4)
+    with pytest.raises(DomainMismatch):
+        f.truncate(4) + g.truncate(4)
+
+
+# ------------------------------------------- products against the pairwise way
+
+def _reference_mul(a, b):
+    """The pairwise product: a degree test on every pair of monomials, and
+    the result built by the filtering public constructor."""
+    trunc = MultiPoly._combine_trunc(a.trunc, b.trunc)
+    out = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            exps = dict(k1)
+            for v, e in k2:
+                exps[v] = exps.get(v, 0) + e
+            if trunc is not None and sum(exps.values()) > trunc:
+                continue
+            k = tuple(sorted(exps.items()))
+            out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+    return MultiPoly(out, trunc)
+
+
+def _reference_add(a, b):
+    out = dict(a.terms)
+    for k, c in b.terms.items():
+        out[k] = out[k] + c if k in out else c
+    return MultiPoly(out, MultiPoly._combine_trunc(a.trunc, b.trunc))
+
+
+_COEFFS = {
+    "int": st.integers(-3, 3),
+    "rat": st.fractions(-3, 3, max_denominator=4),
+    # residues mod 9: multiples of 3 multiply to zero, so products cancel
+    "padic": st.integers(-9, 9).map(lambda n: TruncatedPadic(3, 2, n)),
+}
+
+
+@st.composite
+def _coeff_polys(draw, kind):
+    exps = st.tuples(*[st.integers(0, 2)] * len(_RING_VARS))
+    terms = draw(st.dictionaries(exps, _COEFFS[kind], max_size=5))
+    return MultiPoly({tuple((v, e) for v, e in zip(_RING_VARS, key) if e): c
+                      for key, c in terms.items()},
+                     draw(st.none() | st.integers(0, 6)))
+
+
+def _same(got, want):
+    assert got.terms == want.terms
+    assert {k: type(c) for k, c in got.terms.items()} == \
+        {k: type(c) for k, c in want.terms.items()}
+    assert got.trunc == want.trunc
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data(), kinds=st.sampled_from([
+    ("int", "int"), ("int", "rat"), ("rat", "rat"), ("int", "padic"),
+    ("padic", "int"), ("padic", "padic")]))
+def test_product_and_sum_match_pairwise_reference(data, kinds):
+    a = data.draw(_coeff_polys(kinds[0]))
+    b = data.draw(_coeff_polys(kinds[1]))
+    _same(a * b, _reference_mul(a, b))
+    _same(a + b, _reference_add(a, b))
+    _same(a - b, _reference_add(
+        a, MultiPoly({k: -c for k, c in b.terms.items()}, b.trunc)))
+
+
+@pytest.mark.parametrize("trunc", [None, 0, 1, 2, 6])
+def test_products_that_cancel_to_zero(trunc):
+    x, y = T(0, 1, 1), T(0, 2, 2)
+    three = TruncatedPadic(3, 2, 3)
+    for a, b in [(x * three, y * three),    # 3 * 3 = 0 mod 9: all cancel
+                 (x + y, x - y)]:            # the xy coefficient cancels
+        a = a if trunc is None else a.truncate(trunc)
+        _same(a * b, _reference_mul(a, b))
+        if trunc is not None and trunc < 2:
+            assert (a * b).is_zero()
+    assert (x * three * (y * three)).is_zero()
+    assert len(((x + y) * (x - y)).terms) == 2
 
 
 # ---------------------------------------------------------------- substitution
