@@ -9,14 +9,16 @@ Results are built in one of two ways.  The public ``MultiPoly(terms, trunc)``
 drops every term above the bound and every zero coefficient.  Products,
 negations, coefficient maps and sums of operands with the same bound produce
 only monomials within the bound already, so they go through the private
-``MultiPoly._build``, which drops zero coefficients only; a product skips the
-pairs above the bound before multiplying them, testing the degree room once
-per left-hand monomial, and tests no degree at all when untruncated.
+``MultiPoly._build``, which drops zero coefficients only.  A product takes
+each right-hand monomial's degree once, and skips a pair before multiplying
+it when that degree exceeds the room the left-hand monomial leaves under the
+bound (unlimited when untruncated).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from fractions import Fraction
 from typing import NamedTuple
@@ -255,19 +257,9 @@ class MultiPoly:
         _check_domains(self, other)
         trunc = self._combine_trunc(self.trunc, other.trunc)
         out = {}
-        if trunc is None:
-            right = other.terms.items()
-            for k1, c1 in self.terms.items():
-                for k2, c2 in right:
-                    k = _key_mul(k1, k2)
-                    c = c1 * c2
-                    out[k] = out[k] + c if k in out else c
-            return MultiPoly._build(out, None)
         right = [(k2, c2, _key_degree(k2)) for k2, c2 in other.terms.items()]
         for k1, c1 in self.terms.items():
-            room = trunc - _key_degree(k1)
-            if room < 0:
-                continue
+            room = math.inf if trunc is None else trunc - _key_degree(k1)
             for k2, c2, d2 in right:
                 if d2 > room:
                     continue

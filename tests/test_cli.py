@@ -110,36 +110,6 @@ def test_seed_from_environment(capsys, monkeypatch):
     assert out_env == out_flag
 
 
-def test_reused_parser_matches_fresh_calls(capsys, monkeypatch):
-    # main builds its parser once per process; no call may leak into the next
-    monkeypatch.setenv("DELTA_INV_SEED", "9")
-    sequence = [
-        "b0 --g 2 --q 101 --trials 5 --seed 7",
-        "b0 --g 2 --q 101 --trials 5",
-        "dims --g 2 --r 1 --s 2",
-        "dims --g 2",
-        "verify --suite delta --p 2 --seed 3",
-        "verify --suite delta --p 2",
-        "hilbert --r 2 --terms 3",
-        "b0 --g 2 --q 101 --trials 5",
-    ]
-
-    def call(argv):
-        code = main(argv.split())
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    fresh = []
-    for argv in sequence:
-        cli._build_parser.cache_clear()
-        fresh.append(call(argv))
-    cli._build_parser.cache_clear()
-    assert [call(argv) for argv in sequence] == fresh
-    assert fresh[3][0] == 2 and fresh[3][1] == ""
-    assert json.loads(fresh[1][1])["seed"] == 9
-    assert fresh[0][1] != fresh[1][1] and fresh[1][1] == fresh[7][1]
-
-
 def test_expand_emits_entries(capsys):
     code, out = run_cli(capsys, "expand", "--kind", "f_angle", "--index", "1",
                         "--g", "1", "--p", "3", "--prec", "2", "--deg", "3")
