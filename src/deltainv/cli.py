@@ -236,72 +236,88 @@ def _cmd_verify(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="delta-inv", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **flags):
-        cmd = sub.add_parser(name)
-        cmd.set_defaults(handler=handler)
-        cmd.add_argument("--out", default=None)
-        for flag, spec in flags.items():
-            cmd.add_argument(f"--{flag}", **spec)
-        return cmd
-
-    add("dims", _cmd_dims,
+_COMMANDS = {
+    "dims": (_cmd_dims, dict(
         g={"type": int, "required": True},
         r={"type": int, "required": True},
-        s={"required": True})
-    add("hilbert", _cmd_hilbert,
+        s={"required": True})),
+    "hilbert": (_cmd_hilbert, dict(
         variant={"choices": ("even", "grassmannian"), "default": "even"},
         r={"type": int, "default": 4},
-        terms={"type": int, "default": 4})
-    add("theta", _cmd_theta,
+        terms={"type": int, "default": 4})),
+    "theta": (_cmd_theta, dict(
         g={"type": int, "required": True},
-        multidegree={"required": True})
-    add("upsilon", _cmd_upsilon,
+        multidegree={"required": True})),
+    "upsilon": (_cmd_upsilon, dict(
         g={"type": int, "required": True},
-        levels={"required": True})
-    add("xi", _cmd_xi,
-        cycle={"required": True})
-    add("relations", _cmd_relations,
+        levels={"required": True})),
+    "xi": (_cmd_xi, dict(
+        cycle={"required": True})),
+    "relations": (_cmd_relations, dict(
         kind={"choices": ("cyclic", "plucker"), "required": True},
         indices={"default": "0,1,2,3"},
-        split={"type": int, "default": None})
-    add("expand", _cmd_expand,
+        split={"type": int, "default": None})),
+    "expand": (_cmd_expand, dict(
         kind={"choices": ("f_partial", "f_angle", "f_r", "f_bracket"),
               "required": True},
         index={"type": int, "default": 1},
         g={"type": int, "default": 2},
         p={"type": int, "default": 3},
         prec={"type": int, "default": 3},
-        deg={"type": int, "default": 4})
-    add("diamond", _cmd_diamond,
+        deg={"type": int, "default": 4})),
+    "diamond": (_cmd_diamond, dict(
         g={"type": int, "default": 2},
         multidegree={"default": None},
         p={"type": int, "default": 3},
         prec={"type": int, "default": 3},
-        deg={"type": int, "default": 4})
-    add("rank", _cmd_rank,
+        deg={"type": int, "default": 4})),
+    "rank": (_cmd_rank, dict(
         g={"type": int, "required": True},
         r={"type": int, "required": True},
-        seed={"type": int, "default": None})
-    add("b0", _cmd_b0,
+        seed={"type": int, "default": None})),
+    "b0": (_cmd_b0, dict(
         g={"type": int, "required": True},
         q={"type": int, "required": True},
         trials={"type": int, "default": 100},
-        seed={"type": int, "default": None})
-    add("verify", _cmd_verify,
+        seed={"type": int, "default": None})),
+    "verify": (_cmd_verify, dict(
         suite={"choices": ("delta", "expansions"), "required": True},
         p={"type": int, "default": 3},
         prec={"type": int, "default": 3},
         deg={"type": int, "default": 4},
-        seed={"type": int, "default": None})
+        seed={"type": int, "default": None})),
+}
+
+
+def _build_parser(names=_COMMANDS) -> argparse.ArgumentParser:
+    """The parser for the subcommands ``names``.
+
+    A parser for some of the subcommands still names all of them in its
+    usage line, so its errors read as the full parser's do.  The full
+    parser keeps argparse's own metavar, which its "required" and
+    "invalid choice" errors depend on."""
+    parser = argparse.ArgumentParser(prog="delta-inv", description=__doc__)
+    metavar = None if len(names) == len(_COMMANDS) \
+        else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name in names:
+        handler, flags = _COMMANDS[name]
+        cmd = sub.add_parser(name)
+        cmd.set_defaults(handler=handler)
+        cmd.add_argument("--out", default=None)
+        for flag, spec in flags.items():
+            cmd.add_argument(f"--{flag}", **spec)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the named subcommand's parser is built; help, a missing or
+    # unknown command and a leading option go through the full parser.
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    parser = _build_parser(names)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -186,6 +186,82 @@ def test_invalid_input_is_a_usage_error(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def _flag_value(spec):
+    if "choices" in spec:
+        return spec["choices"][0]
+    return "2" if spec.get("type") is int else "1,1"
+
+
+def _parser_grid(name):
+    """Valid and invalid argv for one subcommand, built from its flags."""
+    flags = cli._COMMANDS[name][1]
+    required = [flag for flag, spec in flags.items() if spec.get("required")]
+    valid = [name]
+    for flag in required:
+        valid += [f"--{flag}", _flag_value(flags[flag])]
+    grid = [valid, valid + ["--out", "x.json"], valid + ["--bogus"],
+            valid + ["extra"], [name, "-h"], valid + ["-h"]]
+    for flag, spec in flags.items():
+        if spec.get("required"):
+            i = valid.index(f"--{flag}")
+            grid.append(valid[:i] + valid[i + 2:])
+        if spec.get("type") is int:
+            grid.append(valid + [f"--{flag}", "x"])
+        if "choices" in spec:
+            grid.append(valid + [f"--{flag}", "no-such-choice"])
+        if len(flag) > 4:
+            grid.append(valid + [f"--{flag[:4]}", _flag_value(spec)])
+    return grid
+
+
+def _parse(parser, argv, capsys):
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_one_command_parser_matches_full_parser(capsys, name):
+    grid = _parser_grid(name)
+    for argv in grid:
+        full = _parse(cli._build_parser(), argv, capsys)
+        one = _parse(cli._build_parser([name]), argv, capsys)
+        assert one == full, argv
+    assert _parse(cli._build_parser([name]), grid[0], capsys)[0].command \
+        == name
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    ([], 2, "delta-inv: error: the following arguments are required: command"),
+    (["-h"], 0, "show this help message and exit"),
+    (["no-such-command"], 2, "delta-inv: error: argument command: invalid"),
+    (["-h", "dims"], 0, "show this help message and exit"),
+])
+def test_top_level_usage_lists_every_command(capsys, argv, code, message):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    assert text.startswith("usage: delta-inv [-h]")
+    assert "{" + ",".join(cli._COMMANDS) + "}" in text
+    assert message in text
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    argv = ["dims", "--g", "2", "--r", "1", "--s", "1"]
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setattr("sys.argv", ["delta-inv", *argv])
+    assert (main(), capsys.readouterr().out) == expected
+    monkeypatch.setattr("sys.argv", ["delta-inv", "dims", "--g", "2"])
+    assert main() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "delta-inv dims: error: the following arguments are required" \
+        in captured.err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code = main(["dims", "--g", "2", "--r", "0", "--s", "1", "--out", str(target)])
