@@ -1,18 +1,30 @@
 """Sparse multivariate polynomials and polynomial matrices.
 
-Monomials are stored as sorted tuples of ``(VarId, exponent)`` pairs mapping
-to exact coefficients (int, Fraction, or TruncatedPadic).  A polynomial may
-carry a degree bound (``trunc``); every operation on such a value re-applies
-the bound, so truncated power series are just polynomials with a sticky cap.
+Monomials are stored as sorted tuples of ``(VarId, exponent)`` pairs, every
+exponent positive, mapping to exact coefficients (int, Fraction, or
+TruncatedPadic).  A polynomial may carry a degree bound (``trunc``); every
+operation on such a value re-applies the bound, so truncated power series are
+just polynomials with a sticky cap.
 
 Results are built in one of two ways.  The public ``MultiPoly(terms, trunc)``
 drops every term above the bound and every zero coefficient.  Products,
 negations, coefficient maps and sums of operands with the same bound produce
 only monomials within the bound already, so they go through the private
-``MultiPoly._build``, which drops zero coefficients only.  A product takes
-each right-hand monomial's degree once, and skips a pair before multiplying
-it when that degree exceeds the room the left-hand monomial leaves under the
-bound (unlimited when untruncated).
+``MultiPoly._build``, which drops zero coefficients only.
+
+A product of two multi-term polynomials, and every step of a power, works on
+packed monomials: each variable of the operands gets a fixed-width exponent
+field of one int, wide enough that no sum of exponents carries, and the total
+degree sits above them.  A monomial product is then one integer addition, a
+pair lies above the bound exactly when its packed sum reaches
+``(trunc + 1) << top``, and a power keeps its running value packed through
+all of its steps.  Keys are decoded once per output term.  When one operand
+has a single term (a scalar or a monomial) its key maps the other's keys one
+to one, and the product multiplies the tuple keys directly.
+
+Polynomials are never changed after construction, so the coefficient domain
+that ``+`` and ``*`` check (rational or p-adic) is scanned once per
+polynomial, from the coefficients it holds, and kept.
 """
 
 from __future__ import annotations
@@ -83,9 +95,11 @@ def _domain(coeff):
     return None
 
 
-def _poly_domain(poly):
+def _coeffs_domain(coeffs):
     dom = None
-    for c in poly.terms.values():
+    for c in coeffs:
+        if type(c) is int:
+            continue
         d = _domain(c)
         if d is None:
             continue
@@ -93,6 +107,16 @@ def _poly_domain(poly):
             dom = d
         elif dom != d:
             raise DomainMismatch(f"mixed coefficients {dom} and {d}")
+    return dom
+
+
+_UNSCANNED = object()
+
+
+def _poly_domain(poly):
+    dom = poly._dom
+    if dom is _UNSCANNED:
+        dom = poly._dom = _coeffs_domain(poly.terms.values())
     return dom
 
 
@@ -117,12 +141,85 @@ def _key_mul(k1, k2):
     return tuple(sorted(exps.items()))
 
 
+def _max_exponent(terms) -> int:
+    return max((e for key in terms for _, e in key), default=0)
+
+
+class _Packing:
+    """Exponent fields for the monomials of a product.
+
+    Each variable gets ``width`` bits, in sorted order from the lowest bits
+    up, and the total degree sits above them at bit ``top``.  ``bound`` is
+    the largest exponent any product may reach; the width holds it, so
+    packed keys add without a carry from one field into the next.  A packed
+    key at or above ``limit`` has a degree beyond ``trunc``.
+    """
+
+    __slots__ = ("variables", "width", "offsets", "top", "limit")
+
+    def __init__(self, variables, bound: int, trunc):
+        self.variables = sorted(variables)
+        self.width = bound.bit_length()
+        self.offsets = {v: i * self.width
+                        for i, v in enumerate(self.variables)}
+        self.top = len(self.variables) * self.width
+        if trunc is None:       # each field holds at most ``bound``
+            trunc = len(self.variables) * bound
+        self.limit = (trunc + 1) << self.top
+
+    def pack(self, terms):
+        """``[(packed key, coefficient)]`` in the order of ``terms``."""
+        offsets, top = self.offsets, self.top
+        out = []
+        for key, c in terms.items():
+            k = d = 0
+            for v, e in key:
+                k += e << offsets[v]
+                d += e
+            out.append((k + (d << top), c))
+        return out
+
+    def unpack(self, packed, trunc) -> "MultiPoly":
+        """The polynomial of ``(packed key, coefficient)`` pairs."""
+        width, variables = self.width, self.variables
+        mask = (1 << width) - 1
+        fields = (1 << self.top) - 1
+        terms = {}
+        for k, c in packed:
+            k &= fields
+            key = []
+            for v in variables:
+                if not k:
+                    break
+                e = k & mask
+                if e:
+                    key.append((v, e))
+                k >>= width
+            terms[tuple(key)] = c
+        return MultiPoly._build(terms, trunc)
+
+
+def _packed_mul(left, right, limit):
+    """``{packed key: coefficient}`` of the product of two packed term lists,
+    keeping the pairs whose packed sum is below ``limit``."""
+    out = {}
+    for k1, c1 in left:
+        room = limit - k1
+        for k2, c2 in right:
+            if k2 < room:
+                k = k1 + k2
+                c = c1 * c2
+                out[k] = out[k] + c if k in out else c
+    return out
+
+
 class MultiPoly:
-    __slots__ = ("terms", "trunc")
+    __slots__ = ("terms", "trunc", "_dom")
 
     def __init__(self, terms=None, trunc=None):
         self.trunc = trunc
         self.terms = {}
+        self._dom = _UNSCANNED
         if terms:
             for key, coeff in terms.items():
                 if trunc is not None and _key_degree(key) > trunc:
@@ -137,6 +234,7 @@ class MultiPoly:
         self = object.__new__(cls)
         self.trunc = trunc
         self.terms = {k: c for k, c in terms.items() if c}
+        self._dom = _UNSCANNED
         return self
 
     # -- constructors ------------------------------------------------------
@@ -256,6 +354,13 @@ class MultiPoly:
             return NotImplemented
         _check_domains(self, other)
         trunc = self._combine_trunc(self.trunc, other.trunc)
+        if len(self.terms) > 1 and len(other.terms) > 1:
+            fields = _Packing(
+                self.variables() | other.variables(),
+                _max_exponent(self.terms) + _max_exponent(other.terms), trunc)
+            out = _packed_mul(fields.pack(self.terms),
+                              fields.pack(other.terms), fields.limit)
+            return fields.unpack(out.items(), trunc)
         out = {}
         right = [(k2, c2, _key_degree(k2)) for k2, c2 in other.terms.items()]
         for k1, c1 in self.terms.items():
@@ -276,9 +381,19 @@ class MultiPoly:
         result = MultiPoly.constant(1)
         if self.trunc is not None:
             result = result.truncate(self.trunc)
-        for _ in range(n):
-            result = result * self
-        return result
+        if n < 2 or len(self.terms) < 2:
+            for _ in range(n):
+                result = result * self
+            return result
+        _poly_domain(self)
+        fields = _Packing(self.variables(), n * _max_exponent(self.terms),
+                          self.trunc)
+        base = fields.pack(self.terms)
+        power = base
+        for _ in range(n - 1):
+            power = [kc for kc in _packed_mul(power, base, fields.limit).items()
+                     if kc[1]]
+        return fields.unpack(power, self.trunc)
 
     def __eq__(self, other):
         other = self._as_poly(other)
@@ -307,12 +422,15 @@ def substitute(f: MultiPoly, sigma: dict, D: int | None = None) -> MultiPoly:
 
     Raises KeyError when a variable of f has no image.  An optional degree
     cap D truncates the result (and all intermediates).
+
+    The images of the terms of f are summed into one dict, in the order of
+    f, with each coefficient that cancels removed at once.  The result, and
+    every ``DomainMismatch``, is that of adding the terms up one by one.
     """
     trunc = D if D is not None else f.trunc
-    zero = MultiPoly.constant(0)
-    if trunc is not None:
-        zero = zero.truncate(trunc)
-    total = zero
+    out: dict = {}
+    bound = trunc          # the bound of the running sum
+    dom = None             # the last domain the running sum took on
     power_cache: dict = {}
     for key, coeff in f.terms.items():
         term = MultiPoly.constant(coeff)
@@ -329,8 +447,24 @@ def substitute(f: MultiPoly, sigma: dict, D: int | None = None) -> MultiPoly:
                 pw = img ** e
                 power_cache[(v, e)] = pw
             term = term * pw
-        total = total + term
-    return total
+        d = _poly_domain(term)
+        if d is not None and d != dom:
+            # as with ``+``: a sum takes on a new domain only once all of
+            # its coefficients of the old one have cancelled
+            if dom is not None and _coeffs_domain(out.values()) is not None:
+                raise DomainMismatch(f"cannot combine {dom} with {d}")
+            dom = d
+        for k, c in term.terms.items():
+            if k in out:
+                c = out[k] + c
+                if not c:
+                    del out[k]
+                    continue
+            out[k] = c
+        if term.trunc != bound:
+            bound = MultiPoly._combine_trunc(bound, term.trunc)
+            out = {k: c for k, c in out.items() if _key_degree(k) <= bound}
+    return MultiPoly._build(out, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,77 @@ def test_domain_mismatch():
         f.truncate(4) + g.truncate(4)
 
 
+def test_domain_mismatch_with_the_domains_already_known():
+    x, y = T(0, 1, 1), T(0, 2, 2)
+    rat = x * Fraction(1, 2) + y
+    padic = x * TruncatedPadic(3, 2, 1) + y
+    one_term = x * TruncatedPadic(3, 2, 1)
+    for _ in range(2):      # the second round meets the domains found before
+        for a, b in [(rat, padic), (padic, rat), (rat, one_term)]:
+            with pytest.raises(DomainMismatch):
+                a * b
+            with pytest.raises(DomainMismatch):
+                a + b
+            with pytest.raises(DomainMismatch):
+                a - b
+        with pytest.raises(DomainMismatch):
+            rat * TruncatedPadic(3, 2, 1)
+        with pytest.raises(DomainMismatch):
+            padic + Fraction(1, 2)
+    assert rat * rat == x ** 2 * Fraction(1, 4) + x * y + y ** 2
+    assert padic * 2 == padic + padic
+
+
+def test_mixed_polynomial_fails_every_operation():
+    mixed = MultiPoly({((VarId("T", 0, 1, 1), 1),): Fraction(1, 2),
+                       ((VarId("T", 0, 2, 2), 1),): TruncatedPadic(3, 2, 1)})
+    for _ in range(2):
+        for op in (lambda: mixed * mixed, lambda: mixed + 1,
+                   lambda: mixed * T(0, 1, 1), lambda: mixed ** 2,
+                   lambda: 3 * mixed):
+            with pytest.raises(DomainMismatch, match="mixed coefficients"):
+                op()
+    assert mixed ** 0 == MultiPoly.constant(1)
+
+
+def test_cancelled_rational_terms_leave_no_domain():
+    x, y = T(0, 1, 1), T(0, 2, 2)
+    half = Fraction(1, 2)
+    rat = x * half + y * 2
+    int_only = rat + x * -half      # the Fraction terms cancel
+    assert int_only.terms == {((VarId("T", 0, 2, 2), 1),): 2}
+    assert type(int_only.terms[((VarId("T", 0, 2, 2), 1),)]) is int
+    padic = x * TruncatedPadic(3, 2, 1) + y * TruncatedPadic(3, 2, 4)
+    assert (int_only * padic).terms == {
+        ((VarId("T", 0, 1, 1), 1), (VarId("T", 0, 2, 2), 1)):
+            TruncatedPadic(3, 2, 2),
+        ((VarId("T", 0, 2, 2), 2),): TruncatedPadic(3, 2, 8)}
+    assert (int_only + padic).terms == {
+        ((VarId("T", 0, 1, 1), 1),): TruncatedPadic(3, 2, 1),
+        ((VarId("T", 0, 2, 2), 1),): TruncatedPadic(3, 2, 6)}
+    with pytest.raises(DomainMismatch):
+        rat * padic
+
+
+def test_substitute_domain_mismatch():
+    x, y, z = (VarId("T", 0, 1, 1), VarId("T", 0, 1, 2), VarId("T", 0, 2, 2))
+    u = T(1, 1, 1)
+    half, padic = Fraction(1, 2), TruncatedPadic(3, 2, 1)
+    f = MultiPoly.var(x) + MultiPoly.var(y) + MultiPoly.var(z)
+    with pytest.raises(DomainMismatch):
+        substitute(f, {x: u * half, y: u * 3, z: u * padic})
+    # the rational images cancel in the running sum before the p-adic one
+    # arrives, so the sum has no domain left to clash with
+    got = substitute(f, {x: u * half, y: u * -half, z: u * padic})
+    assert got.terms == {((VarId("T", 1, 1, 1), 1),): padic}
+    # a p-adic coefficient of f against rational images
+    g = MultiPoly.var(x) * padic + MultiPoly.var(y) * padic
+    with pytest.raises(DomainMismatch):
+        substitute(g, {x: u * half + 1, y: u})
+    with pytest.raises(DomainMismatch):
+        substitute(MultiPoly.var(x) * padic, {x: u * half + 1})
+
+
 # ------------------------------------------- products against the pairwise way
 
 def _reference_mul(a, b):
@@ -159,9 +230,9 @@ _COEFFS = {
 
 
 @st.composite
-def _coeff_polys(draw, kind):
-    exps = st.tuples(*[st.integers(0, 2)] * len(_RING_VARS))
-    terms = draw(st.dictionaries(exps, _COEFFS[kind], max_size=5))
+def _coeff_polys(draw, kind, max_exp=2, max_size=5):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(_RING_VARS))
+    terms = draw(st.dictionaries(exps, _COEFFS[kind], max_size=max_size))
     return MultiPoly({tuple((v, e) for v, e in zip(_RING_VARS, key) if e): c
                       for key, c in terms.items()},
                      draw(st.none() | st.integers(0, 6)))
@@ -201,6 +272,69 @@ def test_products_that_cancel_to_zero(trunc):
     assert len(((x + y) * (x - y)).terms) == 2
 
 
+def _reference_pow(a, n):
+    """``n`` pairwise products, starting from the bounded constant 1."""
+    out = MultiPoly({(): 1}, a.trunc)
+    for _ in range(n):
+        out = _reference_mul(out, a)
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data(), kind=st.sampled_from(["int", "rat", "padic"]),
+       n=st.integers(0, 7))
+def test_power_matches_repeated_pairwise_products(data, kind, n):
+    a = data.draw(_coeff_polys(kind, max_exp=3, max_size=4))
+    _same(a ** n, _reference_pow(a, n))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data(), kinds=st.sampled_from([
+    ("int", "int"), ("rat", "int"), ("padic", "padic")]))
+def test_products_with_large_exponents(data, kinds):
+    a = data.draw(_coeff_polys(kinds[0], max_exp=9))
+    b = data.draw(_coeff_polys(kinds[1], max_exp=9))
+    _same(a * b, _reference_mul(a, b))
+    _same(a ** 2, _reference_pow(a, 2))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("trunc", [None, 40])
+def test_exponents_at_a_field_boundary(k, trunc):
+    # 2^k - 1 fills k bits, and a product of two such exponents needs k + 1:
+    # a field one bit too narrow would carry into the next variable
+    x, y, z = T(0, 1, 1), T(0, 1, 2), T(0, 2, 2)
+    e = 2 ** k - 1
+    a = x ** e + y
+    b = x ** e - z * 2
+    if trunc is not None:
+        a, b = a.truncate(trunc), b.truncate(trunc)
+    _same(a * b, _reference_mul(a, b))
+    _same(b * a, _reference_mul(b, a))
+    for n in range(2, 5):
+        _same(a ** n, _reference_pow(a, n))
+    c = x ** (e + 1) + y ** e      # e + (e + 1) = 2^(k+1) - 1 still fits
+    _same(c * a, _reference_mul(c, a))
+
+
+@pytest.mark.parametrize("trunc", [None, 0, 1, 3])
+@pytest.mark.parametrize("coeff", [2, Fraction(-1, 3), TruncatedPadic(3, 2, 3)])
+def test_empty_and_one_term_operands(trunc, coeff):
+    x, y = T(0, 1, 1), T(0, 2, 2)
+    many = (x + y * 2 + x * y) * coeff + 1
+    operands = [MultiPoly.constant(0), MultiPoly.constant(coeff),
+                x * coeff, x * y * y * coeff, many]
+    if trunc is not None:
+        operands = [p.truncate(trunc) for p in operands]
+    for a in operands:
+        for b in operands:
+            _same(a * b, _reference_mul(a, b))
+        for n in range(4):
+            _same(a ** n, _reference_pow(a, n))
+        _same(a * coeff, _reference_mul(a, MultiPoly.constant(coeff)))
+        _same(coeff * a, _reference_mul(a, MultiPoly.constant(coeff)))
+
+
 # ---------------------------------------------------------------- substitution
 
 def test_substitute_identity():
@@ -220,6 +354,41 @@ def test_substitute_unbound_variable():
     f = T(0, 1, 1) + T(0, 2, 2)
     with pytest.raises(KeyError):
         substitute(f, {VarId("T", 0, 1, 1): MultiPoly.constant(0)})
+
+
+def _reference_substitute(f, sigma, D=None):
+    """The term images, each from pairwise products, added up one by one."""
+    trunc = D if D is not None else f.trunc
+    total = MultiPoly({}, trunc)
+    for key, coeff in f.terms.items():
+        term = MultiPoly({(): coeff}, trunc)
+        for v, e in key:
+            img = sigma[v] if trunc is None else sigma[v].truncate(trunc)
+            term = _reference_mul(term, _reference_pow(img, e))
+        total = _reference_add(total, term)
+    return total
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data(), kinds=st.sampled_from([
+    ("int", "int"), ("int", "rat"), ("rat", "rat"), ("rat", "int"),
+    ("int", "padic"), ("padic", "int"), ("padic", "padic")]))
+def test_substitute_matches_termwise_reference(data, kinds):
+    f = data.draw(_coeff_polys(kinds[0], max_size=6))
+    sigma = {v: data.draw(_coeff_polys(kinds[1], max_exp=1, max_size=3))
+             for v in _RING_VARS}
+    D = data.draw(st.none() | st.integers(0, 6))
+    _same(substitute(f, sigma, D), _reference_substitute(f, sigma, D))
+
+
+def test_substitute_images_with_different_bounds():
+    x, y = VarId("T", 0, 1, 1), VarId("T", 0, 2, 2)
+    u, w = T(1, 1, 1), T(1, 2, 2)
+    f = MultiPoly.var(x) ** 3 + MultiPoly.var(y) + MultiPoly.var(x)
+    sigma = {x: (u + w * 2).truncate(5), y: (u * u - w).truncate(2)}
+    got = substitute(f, sigma)
+    _same(got, _reference_substitute(f, sigma))
+    assert got.trunc == 2
 
 
 def test_det_invariant_under_unimodular_congruence():
