@@ -154,7 +154,8 @@ def _cmd_rank(args):
         expected = 3 * args.r
     else:
         raise ValueError("rank families available for r = 1 or g = 2")
-    point = {v: rng.randrange(1, field) for f in polys for v in f.variables()}
+    point = {v: rng.randrange(1, field)
+             for v in sorted({v for f in polys for v in f.variables()})}
     rank = jacobian_rank(polys, point, field=field)
     return {"g": args.g, "r": args.r, "rank": rank, "expected": expected,
             "field": field, "seed": seed}

@@ -128,18 +128,14 @@ def _iterate_images(i: int, max_level: int, p: int):
 
 
 def _to_phi_coordinates(F: MultiPoly, p: int) -> MultiPoly:
-    cache = {}
-    sigma = {}
-    for v in F.variables():
+    variables = F.variables()
+    top = {}
+    for v in variables:
         if v.family != "z":
             raise ValueError("expected level-coordinate variables")
-        key = v.i
-        need = v.level
-        gs = cache.get(key)
-        if gs is None or len(gs) <= need:
-            gs = _iterate_images(v.i, need, p)
-            cache[key] = gs
-        sigma[v] = gs[need]
+        top[v.i] = max(top.get(v.i, 0), v.level)
+    images = {i: _iterate_images(i, level, p) for i, level in top.items()}
+    sigma = {v: images[v.i][v.level] for v in variables}
     return substitute(F.map_coeffs(Fraction), sigma)
 
 
@@ -153,13 +149,10 @@ def _monomial_weight(key) -> Weight:
 
 def delta_homog_decompose(F: MultiPoly, p: int) -> dict:
     """Split F, rewritten in Frobenius-iterate coordinates, by weight."""
-    Fw = _to_phi_coordinates(F, p)
-    out: dict = {}
-    for key, coeff in Fw.terms.items():
-        w = _monomial_weight(key)
-        piece = MultiPoly({key: coeff})
-        out[w] = out[w] + piece if w in out else piece
-    return out
+    groups: dict = {}
+    for key, coeff in _to_phi_coordinates(F, p).terms.items():
+        groups.setdefault(_monomial_weight(key), {})[key] = coeff
+    return {w: MultiPoly(terms) for w, terms in groups.items()}
 
 
 def homogeneous_weight(F: MultiPoly, p: int):

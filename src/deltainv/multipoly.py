@@ -12,15 +12,16 @@ negations, coefficient maps and sums of operands with the same bound produce
 only monomials within the bound already, so they go through the private
 ``MultiPoly._build``, which drops zero coefficients only.
 
-A product of two multi-term polynomials, and every step of a power, works on
-packed monomials: each variable of the operands gets a fixed-width exponent
-field of one int, wide enough that no sum of exponents carries, and the total
-degree sits above them.  A monomial product is then one integer addition, a
-pair lies above the bound exactly when its packed sum reaches
-``(trunc + 1) << top``, and a power keeps its running value packed through
-all of its steps.  Keys are decoded once per output term.  When one operand
-has a single term (a scalar or a monomial) its key maps the other's keys one
-to one, and the product multiplies the tuple keys directly.
+A product of two multi-term polynomials, and every power (of any base, one
+term or none included), works on packed monomials: each variable of the
+operands gets a fixed-width exponent field of one int, wide enough that no sum
+of exponents carries, and the total degree sits above them.  A monomial product
+is then one integer addition, a pair lies above the bound exactly when its
+packed sum reaches ``(trunc + 1) << top``, and a power keeps its running value
+packed through all of its steps.  Keys are decoded once per output term.  When
+one operand of a product has a single term (a scalar or a monomial) its key
+maps the other's keys one to one, and the product multiplies the tuple keys
+directly.
 
 Polynomials are never changed after construction, so the coefficient domain
 that ``+`` and ``*`` check (rational or p-adic) is scanned once per
@@ -63,8 +64,6 @@ def var_name(v: VarId) -> str:
         return f"{v.family}{v.level}_{v.i}{v.j}"
     if v.family in ("u", "v"):
         return f"{v.family}{v.level}"
-    if v.family == "y":
-        return f"y{v.i}_{v.j}"
     if v.family == "z":
         return f"z{v.i}" + "'" * v.level
     return f"{v.family}{v.level}_{v.i}_{v.j}"
@@ -378,13 +377,8 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative exponent")
-        result = MultiPoly.constant(1)
-        if self.trunc is not None:
-            result = result.truncate(self.trunc)
-        if n < 2 or len(self.terms) < 2:
-            for _ in range(n):
-                result = result * self
-            return result
+        if n == 0:
+            return MultiPoly({(): 1}, self.trunc)
         _poly_domain(self)
         fields = _Packing(self.variables(), n * _max_exponent(self.terms),
                           self.trunc)
@@ -433,9 +427,7 @@ def substitute(f: MultiPoly, sigma: dict, D: int | None = None) -> MultiPoly:
     dom = None             # the last domain the running sum took on
     power_cache: dict = {}
     for key, coeff in f.terms.items():
-        term = MultiPoly.constant(coeff)
-        if trunc is not None:
-            term = term.truncate(trunc)
+        term = MultiPoly({(): coeff}, trunc)
         for v, e in key:
             if v not in sigma:
                 raise KeyError(v)

@@ -293,14 +293,9 @@ def relation_check(kind: str, indices=(0, 1, 2, 3), split=None):
         if split is None or not 2 <= split <= len(indices) - 1:
             raise ValueError("cyclic relation needs a split position")
         s = split
-        q = (None,) + indices          # 1-based access q[1..m]
-        m = len(indices)
-        lhs = xi_lift(indices) + \
-            xi_lift((q[1],) + tuple(q[k] for k in range(s + 1, m + 1))) * \
-            xi_lift(tuple(q[k] for k in range(2, s + 1)))
-        reordered = (q[1],) + tuple(q[k] for k in range(s, 1, -1)) + \
-            tuple(q[k] for k in range(s + 1, m + 1))
-        rhs = xi_lift(reordered) * ((-1) ** s)
+        head, inner, tail = indices[:1], indices[1:s], indices[s:]
+        lhs = xi_lift(indices) + xi_lift(head + tail) * xi_lift(inner)
+        rhs = xi_lift(head + inner[::-1] + tail) * ((-1) ** s)
         residual = lhs - rhs
         return residual.is_zero(), {"residual_terms": len(residual.terms)}
     if kind == "plucker":

@@ -17,8 +17,11 @@ Frobenius lifts of one logarithm ``L = log(1 + T^(0)_11)``: twist level a is
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 
+from .conj_invariants import y_invariant
 from .delta_calculus import frobenius_lift
 from .exact_arith import TruncatedPadic, rational_reduce, require_prime
 from .multipoly import (
@@ -134,36 +137,38 @@ def expansion_basic(kind: str, index: int, g: int, p: int, N: int,
 # suit maps
 # ---------------------------------------------------------------------------
 
+def _slot_images(F: MultiPoly, level_series) -> dict:
+    """Each variable of F mapped to its level's series, renamed to its
+    entry; ``level_series(level)`` is called once per level."""
+    series = {}
+    sigma = {}
+    for v in F.variables():
+        if v.level not in series:
+            series[v.level] = level_series(v.level)
+        sigma[v] = _rename(series[v.level], v.i, v.j)
+    return sigma
+
+
 def diamond_realize(F: MultiPoly, r: int, g: int, p: int, N: int,
                     D: int) -> MultiPoly:
     """Substitute the (level)-fold twisted series for each slot of F."""
     if g < 1:
         raise ValueError(f"matrix size must be at least 1, got {g}")
-    series = {}
-    sigma = {}
-    for v in F.variables():
+    for v in sorted(F.variables()):
         if v.level >= r:
             raise ValueError(f"slot {v.level} needs r > {v.level}")
         if not (1 <= v.i <= g and 1 <= v.j <= g):
             raise ValueError(f"entry ({v.i}, {v.j}) is outside g = {g}")
-        if v.level not in series:
-            series[v.level] = reduce_rational_poly(
-                _log_series(v.level + 1, p, D), p, N)
-        sigma[v] = _rename(series[v.level], v.i, v.j)
+    sigma = _slot_images(F, lambda level: reduce_rational_poly(
+        _log_series(level + 1, p, D), p, N))
     return substitute(reduce_rational_poly(F, p, N), sigma, D)
 
 
 def spade(F: MultiPoly, D: int, p: int = 3) -> MultiPoly:
     """Slot 0 becomes the entrywise logarithm; slot k >= 1 the rational
     (k-1)-fold twisted series."""
-    series = {}
-    sigma = {}
-    for v in F.variables():
-        if v.level not in series:
-            series[v.level] = (
-                _log_entry(D) if v.level == 0
-                else _log_series(v.level, p, D))
-        sigma[v] = _rename(series[v.level], v.i, v.j)
+    sigma = _slot_images(F, lambda level: (
+        _log_entry(D) if level == 0 else _log_series(level, p, D)))
     return substitute(F.map_coeffs(Fraction), sigma, D)
 
 
@@ -211,10 +216,12 @@ def cyclic_word_check(levels, j: int, g: int, p: int) -> dict:
     entries algebraically independent over the integers).  Each cycle edge
     (a, b) contributes the factor ``Q^(hi) + p Q^(hi-1) + ... + p^(hi-lo-1)
     Q^(lo+1)`` with hi = max(a, b), lo = min(a, b); every second factor is
-    adjugated.  The single-word side keeps only ``Q^(max(a, b))`` in each
-    slot.  The check asserts that the two j-th characteristic-polynomial
-    coefficients agree modulo p and that the single-word side is nonzero
-    modulo p.  The computation is exact and needs no degree truncation.
+    adjugated.  The single-word side is
+    :func:`~deltainv.conj_invariants.y_invariant`, which keeps only
+    ``Q^(max(a, b))`` in each slot.  The check asserts that the two j-th
+    characteristic-polynomial coefficients agree modulo p and that the
+    single-word side is nonzero modulo p.  The computation is exact and
+    needs no degree truncation.
     """
     levels = tuple(levels)
     if len(levels) % 2 or len(levels) < 2:
@@ -223,25 +230,15 @@ def cyclic_word_check(levels, j: int, g: int, p: int) -> dict:
     if any(a == b for a, b in edges):
         raise ValueError(f"cycle entries must alternate, got {levels}")
 
-    matrices = {}
-
-    def Q(m):
-        if m not in matrices:
-            matrices[m] = generic_sym_matrix(g, level=m, family="Q")
-        return matrices[m]
-
     def pair_sum(a, b):
         lo, hi = min(a, b), max(a, b)
-        acc = None
-        for i in range(hi - lo):
-            term = Q(hi - i).scale(p ** i)
-            acc = term if acc is None else acc + term
-        return acc
+        return functools.reduce(operator.add, (
+            generic_sym_matrix(g, level=hi - i, family="Q").scale(p ** i)
+            for i in range(hi - lo)))
 
     F = alternating_product([pair_sum(a, b) for a, b in edges])
-    Y = alternating_product([Q(max(a, b)) for a, b in edges])
     cF = charpoly_coeffs(F)[j]
-    cY = charpoly_coeffs(Y)[j]
+    cY = y_invariant(j, levels, g)
     equal = (cF - cY).map_coeffs(lambda c: c % p).is_zero()
     nonzero = not cY.map_coeffs(lambda c: c % p).is_zero()
     if equal and nonzero:

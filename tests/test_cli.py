@@ -1,7 +1,10 @@
 """Tests for the batch command-line front end."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,6 +111,41 @@ def test_seed_from_environment(capsys, monkeypatch):
     _, out_flag = run_cli(capsys, "b0", "--g", "2", "--q", "101", "--trials", "5",
                           "--seed", "7")
     assert out_env == out_flag
+
+
+_CAPTURE_RANK_POINT = """
+import contextlib, io, json
+from deltainv import cli
+from deltainv.multipoly import var_name
+
+points = []
+
+
+def capture(polys, point, field=None):
+    points.append(point)
+    return 0
+
+
+cli.jacobian_rank = capture
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["rank", "--g", "2", "--r", "2", "--seed", "0"])
+print(json.dumps([[var_name(v), x] for v, x in points[0].items()]))
+"""
+
+
+def test_rank_point_is_independent_of_hash_seed():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    points = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _CAPTURE_RANK_POINT],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        points.append(json.loads(run.stdout))
+    assert points[0] == points[1]
+    assert len(points[0]) == 9           # T^(0..2) entries of a 2x2 matrix
 
 
 def test_expand_emits_entries(capsys):

@@ -217,3 +217,21 @@ def test_decomposition_reassembles():
         for poly in comps.values():
             total = total + phi_to_levels(poly, p)
         assert total == f.map_coeffs(Fraction)
+
+
+def test_decomposition_with_a_skipped_level():
+    # z_0 at levels 0 and 2 (level 1 absent) next to a second index z_1:
+    # z_0'' = (w_02 - w_01^p - p^(1-p) (w_01 - w_00^p)^p) / p^2, so z_0 z_0''
+    # has weights 1 + phi^2 and 1 + p (p - k) + k phi for k = 0..p
+    for p in (2, 3):
+        f = z(0) * z(0, 2) + z(1) * 2
+        comps = delta_homog_decompose(f, p)
+        assert set(comps) == {Weight([1, 0, 1]), Weight([1])} | {
+            Weight([p * (p - k) + 1, k]) for k in range(p + 1)}
+        assert comps[Weight([1, 0, 1])] == \
+            phi_coordinate(0, 0) * phi_coordinate(0, 2) * Fraction(1, p * p)
+        assert comps[Weight([1])] == phi_coordinate(1, 0) * 2
+        total = MultiPoly.constant(0)
+        for poly in comps.values():
+            total = total + phi_to_levels(poly, p)
+        assert total == f.map_coeffs(Fraction)

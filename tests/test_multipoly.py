@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
@@ -280,11 +280,25 @@ def _reference_pow(a, n):
     return out
 
 
+_X = _RING_VARS[0]
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(data=st.data(), kind=st.sampled_from(["int", "rat", "padic"]),
-       n=st.integers(0, 7))
-def test_power_matches_repeated_pairwise_products(data, kind, n):
-    a = data.draw(_coeff_polys(kind, max_exp=3, max_size=4))
+@given(a=st.sampled_from(["int", "rat", "padic"]).flatmap(
+    lambda kind: _coeff_polys(kind, max_exp=3, max_size=4)),
+    n=st.integers(0, 7))
+# one-term truncated bases: the bound cuts the power (x^6 above 5), keeps
+# it exactly (x^4 at 4), or holds a constant
+@example(a=MultiPoly({((_X, 2),): 2}, 5), n=3)
+@example(a=MultiPoly({((_X, 2),): Fraction(1, 2)}, 4), n=2)
+@example(a=MultiPoly({((_X, 1),): TruncatedPadic(3, 2, 4)}, 5), n=6)
+@example(a=MultiPoly({(): Fraction(-2, 3)}, 0), n=4)
+# the zero polynomial, bounded and not
+@example(a=MultiPoly(), n=0)
+@example(a=MultiPoly(), n=3)
+@example(a=MultiPoly({}, 2), n=1)
+@example(a=MultiPoly({}, 2), n=0)
+def test_power_matches_repeated_pairwise_products(a, n):
     _same(a ** n, _reference_pow(a, n))
 
 

@@ -354,7 +354,21 @@ def test_cyclic_word_adjacent_max_rule():
 
 
 def test_cyclic_word_rejects_bad_cycle():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must alternate"):
         cyclic_word_check((0, 0), 1, 2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must alternate"):
         cyclic_word_check((0, 1, 1, 2), 1, 2, 3)
+    with pytest.raises(ValueError, match="positive even length"):
+        cyclic_word_check((0, 1, 2), 1, 2, 3)
+
+
+@pytest.mark.parametrize("levels,j,g,p,status,nonzero", [
+    # the one-word side vanishes mod 2, so agreement proves nothing
+    ((0, 1, 0, 2), 1, 2, 2, "inconclusive", False),
+    ((0, 2, 1, 3), 1, 2, 5, "verified", True),
+    ((0, 3), 1, 2, 3, "verified", True),
+    ((0, 2), 2, 2, 2, "verified", True),
+])
+def test_cyclic_word_pinned_results(levels, j, g, p, status, nonzero):
+    out = cyclic_word_check(levels, j, g, p)
+    assert out == {"equal": True, "nonzero": nonzero, "status": status}
