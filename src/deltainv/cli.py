@@ -20,8 +20,8 @@ from fractions import Fraction
 from .delta_calculus import canonical_delta, delta_bracket
 from .conj_invariants import jacobian_rank
 from .exact_arith import require_prime
-from .multipoly import MultiPoly, Tvar, generic_sym_matrix, \
-    homogeneous_component, sym_det
+from .multipoly import MultiPoly, Tvar, _det_rows, generic_sym_matrix, \
+    homogeneous_component
 from .quad_invariants import (
     b0_count,
     hilbert_closed,
@@ -129,7 +129,7 @@ def _cmd_diamond(args):
         label = {"invariant": "theta", "multidegree": list(mdeg)}
         r = len(mdeg)
     else:
-        invariant = sym_det(generic_sym_matrix(args.g, level=0))
+        invariant = _det_rows(generic_sym_matrix(args.g, level=0).rows)
         label = {"invariant": "det"}
         r = 1
     poly = diamond_realize(invariant, r, args.g, args.p, args.prec, args.deg)
@@ -219,7 +219,7 @@ def _suite_expansions(args):
     yield ("partial-is-identity",
            all(partial.entry(i, i).constant_value() for i in (1, 2))
            and partial.entry(1, 2).is_zero())
-    det0 = sym_det(generic_sym_matrix(2, level=0))
+    det0 = _det_rows(generic_sym_matrix(2, level=0).rows)
     yield "initial-form-det", initial_form_identity_check(det0, 2)
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .exact_linalg import ExactMatrix, rank
 from .multipoly import MatrixPoly, MultiPoly, _det_rows, _mat_mul, \
-    adjugate, alternating_product, charpoly_coeffs, generic_sym_matrix, \
+    adjugate, alternating_product, charpoly_coeff, generic_sym_matrix, \
     wedge_power
 
 
@@ -43,7 +43,7 @@ def trace_word(j: int, word, mats):
     P = [[1 if a == b else 0 for b in range(g)] for a in range(g)]
     for w in word:
         P = _mat_mul(P, mats[w])
-    return charpoly_coeffs(MatrixPoly(P))[j]
+    return charpoly_coeff(MatrixPoly(P), j)
 
 
 def phi_q(M0, M1, q: int):
@@ -80,7 +80,7 @@ def cyclic_matrix_product(levels, g: int) -> MatrixPoly:
 
 def y_invariant(j: int, levels, g: int) -> MultiPoly:
     """j-th characteristic coefficient of the cyclic product."""
-    return charpoly_coeffs(cyclic_matrix_product(levels, g))[j]
+    return charpoly_coeff(cyclic_matrix_product(levels, g), j)
 
 
 # ---------------------------------------------------------------------------

@@ -503,22 +503,13 @@ class MatrixPoly:
                    for a, b in zip(r1, r2))
 
 
-class SymMatrixPoly(MatrixPoly):
-    def __init__(self, rows):
-        super().__init__(rows)
-        for i in range(self.g):
-            for j in range(i):
-                if not (self.rows[i][j] == self.rows[j][i]):
-                    raise ValueError("matrix is not symmetric")
-
-
 def identity_matrix(g: int) -> MatrixPoly:
     return MatrixPoly([[MultiPoly.constant(1 if i == j else 0)
                         for j in range(g)] for i in range(g)])
 
 
-def generic_sym_matrix(g: int, level: int, family: str = "T") -> SymMatrixPoly:
-    return SymMatrixPoly(
+def generic_sym_matrix(g: int, level: int, family: str = "T") -> MatrixPoly:
+    return MatrixPoly(
         [[MultiPoly.var(VarId(family, level, min(i, j), max(i, j)))
           for j in range(1, g + 1)] for i in range(1, g + 1)])
 
@@ -554,10 +545,6 @@ def _det_rows(rows):
     return total
 
 
-def sym_det(M: MatrixPoly) -> MultiPoly:
-    return _det_rows(M.rows)
-
-
 def adjugate(M: MatrixPoly) -> MatrixPoly:
     g = M.g
     unit = M.rows[0][0] ** 0
@@ -577,16 +564,18 @@ def alternating_product(factors) -> MatrixPoly:
         adjugate(F) if k % 2 else F for k, F in enumerate(factors)))
 
 
-def charpoly_coeffs(M: MatrixPoly):
-    """Coefficients c_0..c_g with det(t*1 - M) = sum (-1)^j c_j t^(g-j)."""
+def charpoly_coeff(M: MatrixPoly, j: int):
+    """The coefficient c_j, 0 <= j <= g, in det(t*1 - M) = sum (-1)^j c_j
+    t^(g-j): the sum of the j x j principal minors of M."""
     from itertools import combinations
 
     g = M.g
-    coeffs = [M.rows[0][0] ** 0]
-    for j in range(1, g + 1):
-        coeffs.append(sum(_det_rows([[M.rows[r][c] for c in S] for r in S])
-                          for S in combinations(range(g), j)))
-    return coeffs
+    if not 0 <= j <= g:
+        raise ValueError(f"coefficient index must be in [0, {g}], got {j}")
+    if j == 0:
+        return M.rows[0][0] ** 0
+    return sum(_det_rows([[M.rows[r][c] for c in S] for r in S])
+               for S in combinations(range(g), j))
 
 
 def wedge_power(M: MatrixPoly, q: int) -> MatrixPoly:

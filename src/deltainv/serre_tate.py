@@ -17,8 +17,6 @@ Frobenius lifts of one logarithm ``L = log(1 + T^(0)_11)``: twist level a is
 
 from __future__ import annotations
 
-import functools
-import operator
 from fractions import Fraction
 
 from .conj_invariants import y_invariant
@@ -28,9 +26,6 @@ from .multipoly import (
     MatrixPoly,
     MultiPoly,
     VarId,
-    alternating_product,
-    charpoly_coeffs,
-    generic_sym_matrix,
     homogeneous_component,
     substitute,
 )
@@ -218,10 +213,16 @@ def cyclic_word_check(levels, j: int, g: int, p: int) -> dict:
     Q^(lo+1)`` with hi = max(a, b), lo = min(a, b); every second factor is
     adjugated.  The single-word side is
     :func:`~deltainv.conj_invariants.y_invariant`, which keeps only
-    ``Q^(max(a, b))`` in each slot.  The check asserts that the two j-th
-    characteristic-polynomial coefficients agree modulo p and that the
-    single-word side is nonzero modulo p.  The computation is exact and
-    needs no degree truncation.
+    ``Q^(max(a, b))`` in each slot.
+
+    Each factor is congruent to ``Q^(hi)`` mod p, reduction mod p is a ring
+    map, and adjugates and characteristic coefficients are integer
+    polynomials in the entries, so the two j-th coefficients agree mod p for
+    every input: ``equal`` is always true.  Only ``nonzero``, whether the
+    single-word side is nonzero mod p, carries information, and only that
+    side is computed; the status is ``"verified"`` when it is nonzero and
+    ``"inconclusive"`` otherwise.  The computation is exact and needs no
+    degree truncation.
     """
     levels = tuple(levels)
     if len(levels) % 2 or len(levels) < 2:
@@ -229,22 +230,7 @@ def cyclic_word_check(levels, j: int, g: int, p: int) -> dict:
     edges = list(zip(levels, levels[1:] + levels[:1]))
     if any(a == b for a, b in edges):
         raise ValueError(f"cycle entries must alternate, got {levels}")
-
-    def pair_sum(a, b):
-        lo, hi = min(a, b), max(a, b)
-        return functools.reduce(operator.add, (
-            generic_sym_matrix(g, level=hi - i, family="Q").scale(p ** i)
-            for i in range(hi - lo)))
-
-    F = alternating_product([pair_sum(a, b) for a, b in edges])
-    cF = charpoly_coeffs(F)[j]
     cY = y_invariant(j, levels, g)
-    equal = (cF - cY).map_coeffs(lambda c: c % p).is_zero()
     nonzero = not cY.map_coeffs(lambda c: c % p).is_zero()
-    if equal and nonzero:
-        status = "verified"
-    elif equal:
-        status = "inconclusive"
-    else:
-        status = "failed"
-    return {"equal": equal, "nonzero": nonzero, "status": status}
+    return {"equal": True, "nonzero": nonzero,
+            "status": "verified" if nonzero else "inconclusive"}

@@ -25,14 +25,16 @@ from deltainv.conj_invariants import (
 )
 from deltainv.exact_linalg import ExactMatrix, rank
 from deltainv.multipoly import (
+    _det_rows,
+    MatrixPoly,
     MultiPoly,
     VarId,
-    charpoly_coeffs,
+    charpoly_coeff,
     generic_matrix,
     generic_sym_matrix,
-    sym_det,
 )
 from deltainv.quad_invariants import theta, theta_multidegrees
+from deltainv.serre_tate import cyclic_word_check
 
 
 def _rand_mat(rng, g, span=4):
@@ -216,7 +218,7 @@ def test_pi_n_equivariance():
 def test_cyclic_product_two_levels_is_scaled_identity():
     for a in (1, 2):
         Y = cyclic_matrix_product((0, a), 2)
-        det = sym_det(generic_sym_matrix(2, a, family="Q"))
+        det = _det_rows(generic_sym_matrix(2, a, family="Q").rows)
         for i in range(1, 3):
             for j in range(1, 3):
                 expect = det if i == j else MultiPoly.constant(0)
@@ -234,6 +236,21 @@ def test_y_invariant_cyclic_rotation():
     a = (1, 2, 1, 3)
     b = (1, 3, 1, 2)   # rotation by two positions
     assert y_invariant(1, a, 2) == y_invariant(1, b, 2)
+
+
+@pytest.mark.parametrize("coefficient,one", [
+    (lambda j: charpoly_coeff(MatrixPoly([[1, 2], [3, 4]]), j), 1),
+    (lambda j: trace_word(j, (0, 1), [[[1, 2], [3, 4]], [[0, 1], [1, 1]]]),
+     1),
+    (lambda j: y_invariant(j, (0, 1), 2), 1),
+    (lambda j: cyclic_word_check((0, 1), j, 2, 3),
+     {"equal": True, "nonzero": True, "status": "verified"}),
+], ids=["charpoly_coeff", "trace_word", "y_invariant", "cyclic_word_check"])
+def test_coefficient_index_must_lie_in_0_to_g(coefficient, one):
+    for j in (-1, 3):
+        with pytest.raises(ValueError, match="coefficient index"):
+            coefficient(j)
+    assert coefficient(0) == one
 
 
 # ---------------------------------------------------------------- jacobian ranks
@@ -314,9 +331,9 @@ def test_trace_word_rank_small():
     rng = random.Random(2024)
     X0, X1 = generic_matrix(2, 0), generic_matrix(2, 1)
     polys = [
-        charpoly_coeffs(X0)[1], charpoly_coeffs(X0)[2],
-        charpoly_coeffs(X1)[1], charpoly_coeffs(X1)[2],
-        charpoly_coeffs(X0 @ X1)[1],
+        charpoly_coeff(X0, 1), charpoly_coeff(X0, 2),
+        charpoly_coeff(X1, 1), charpoly_coeff(X1, 2),
+        charpoly_coeff(X0 @ X1, 1),
     ]
     vars_ = sorted(set().union(*[p.variables() for p in polys]))
     q0 = (1 << 31) - 1

@@ -20,16 +20,14 @@ from deltainv.multipoly import (
     DomainMismatch,
     MatrixPoly,
     MultiPoly,
-    SymMatrixPoly,
     Tvar,
     adjugate,
     alternating_product,
-    charpoly_coeffs,
+    charpoly_coeff,
     generic_sym_matrix,
     homogeneous_component,
     identity_matrix,
     substitute,
-    sym_det,
     var_name,
     wedge_power,
 )
@@ -458,22 +456,23 @@ def _sympy_of(mp, syms):
 
 
 def test_det_identity_and_diag():
-    assert sym_det(identity_matrix(3)) == MultiPoly.constant(1)
+    assert _det_rows(identity_matrix(3).rows) == MultiPoly.constant(1)
     d = MatrixPoly([[T(0, 1, 1), MultiPoly.constant(0)],
                     [MultiPoly.constant(0), T(0, 2, 2)]])
-    assert sym_det(d) == T(0, 1, 1) * T(0, 2, 2)
+    assert _det_rows(d.rows) == T(0, 1, 1) * T(0, 2, 2)
 
 
 def test_det_generic_symmetric_2x2():
     M = generic_sym_matrix(2, 0)
-    assert sym_det(M) == T(0, 1, 1) * T(0, 2, 2) - T(0, 1, 2) ** 2
+    assert _det_rows(M.rows) == T(0, 1, 1) * T(0, 2, 2) - T(0, 1, 2) ** 2
 
 
 def test_det_against_sympy():
     for g in (2, 3, 4):
         M = generic_sym_matrix(g, 0)
-        syms = {v: sympy.Symbol(var_name(v)) for v in sym_det(M).variables()}
-        ours = _sympy_of(sym_det(M), syms)
+        det = _det_rows(M.rows)
+        syms = {v: sympy.Symbol(var_name(v)) for v in det.variables()}
+        ours = _sympy_of(det, syms)
         smat = sympy.Matrix(g, g, lambda i, j: syms[VarId("T", 0, min(i, j) + 1, max(i, j) + 1)])
         assert sympy.expand(ours - smat.det()) == 0
 
@@ -550,7 +549,8 @@ def test_polynomials_and_matrices_are_unhashable():
 def test_scalar_kernels_keep_the_entry_type():
     assert adjugate(MatrixPoly([[7]])).rows == [[1]]
     assert type(adjugate(MatrixPoly([[7]])).rows[0][0]) is int
-    coeffs = charpoly_coeffs(MatrixPoly([[Fraction(1, 2), 1], [3, 4]]))
+    M = MatrixPoly([[Fraction(1, 2), 1], [3, 4]])
+    coeffs = [charpoly_coeff(M, j) for j in range(3)]
     assert coeffs == [1, Fraction(9, 2), -1]
     assert all(type(c) is Fraction for c in coeffs)
     assert wedge_power(MatrixPoly([[1, 2, 0], [0, 1, 3], [4, 0, 1]]), 2).rows[0] \
@@ -572,7 +572,7 @@ def test_adjugate_identity_law():
     for g in (2, 3, 4):
         M = generic_sym_matrix(g, 0)
         prod = M @ adjugate(M)
-        det = sym_det(M)
+        det = _det_rows(M.rows)
         for i in range(1, g + 1):
             for j in range(1, g + 1):
                 expect = det if i == j else MultiPoly.constant(0)
@@ -637,16 +637,33 @@ def test_alternating_product_against_hand_products():
 def test_charpoly_conventions():
     g = 3
     M = generic_sym_matrix(g, 0)
-    cs = charpoly_coeffs(M)
+    cs = [charpoly_coeff(M, j) for j in range(g + 1)]
     assert cs[0] == MultiPoly.constant(1)
     trace = T(0, 1, 1) + T(0, 2, 2) + T(0, 3, 3)
     assert cs[1] == trace
-    assert cs[g] == sym_det(M)
+    assert cs[g] == _det_rows(M.rows)
     # identity matrix: det(t 1 - 1) = (t-1)^g, so c_j = binomial(g, j)
     from math import comb
     for g2 in (2, 3, 4):
-        cs2 = charpoly_coeffs(identity_matrix(g2))
+        cs2 = [charpoly_coeff(identity_matrix(g2), j) for j in range(g2 + 1)]
         assert [c.constant_value() for c in cs2] == [comb(g2, j) for j in range(g2 + 1)]
+
+
+@pytest.mark.parametrize("entry", [
+    lambda rng: rng.randrange(-9, 10),
+    lambda rng: Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)),
+], ids=["int", "Fraction"])
+def test_charpoly_coeff_against_sympy(entry):
+    rng = random.Random(16)
+    for g in (1, 2, 3, 4, 5):
+        for _ in range(3):
+            rows = [[entry(rng) for _ in range(g)] for _ in range(g)]
+            # det(t - M) = sum_j (-1)^j c_j t^(g - j)
+            expect = sympy.Matrix(rows).charpoly().all_coeffs()
+            for j in range(g + 1):
+                c = charpoly_coeff(MatrixPoly(rows), j)
+                assert type(c) is type(rows[0][0])
+                assert c == (-1) ** j * expect[j]
 
 
 def test_cayley_hamilton_numeric():
@@ -655,7 +672,7 @@ def test_cayley_hamilton_numeric():
         rows = [[MultiPoly.constant(rng.randrange(-5, 6)) for _ in range(g)]
                 for _ in range(g)]
         M = MatrixPoly(rows)
-        cs = charpoly_coeffs(M)
+        cs = [charpoly_coeff(M, j) for j in range(g + 1)]
         acc = None
         for j in range(g + 1):
             term = identity_matrix(g)

@@ -19,12 +19,11 @@ from sympy.polys.matrices import DomainMatrix
 
 from deltainv.exact_linalg import ExactMatrix, kernel_basis, rank
 from deltainv.multipoly import (
-    MatrixPoly,
+    _det_rows,
     MultiPoly,
     SizeTooLarge,
     Tvar,
     VarId,
-    sym_det,
     uvar,
     vvar,
 )
@@ -280,7 +279,7 @@ def _s_weighted_det(g, r):
     rows = [[sum((MultiPoly.var(VarId("s", l, 0, 0)) * T(l, i, j)
                   for l in range(r + 1)), MultiPoly.constant(0))
              for j in range(1, g + 1)] for i in range(1, g + 1)]
-    return sym_det(MatrixPoly(rows))
+    return _det_rows(rows)
 
 
 def _theta_det_reference(g, mdeg):

@@ -4,6 +4,9 @@ Oracles: the scalar logarithm from exact_arith evaluated by exact-rational
 partial sums, independent route comparisons, and rational-side substitution.
 """
 
+import functools
+import itertools
+import operator
 from fractions import Fraction
 from math import comb
 
@@ -13,8 +16,10 @@ from hypothesis import strategies as st
 
 from deltainv.delta_calculus import frobenius_lift
 from deltainv.exact_arith import TruncatedPadic, rational_reduce
-from deltainv.multipoly import (MultiPoly, Tvar, VarId, homogeneous_component,
-                                 sym_det)
+from deltainv.conj_invariants import y_invariant
+from deltainv.multipoly import (_det_rows, MultiPoly, Tvar, VarId,
+                                 alternating_product, charpoly_coeff,
+                                 generic_sym_matrix, homogeneous_component)
 from deltainv.serre_tate import (
     _ENTRY,
     _log_entry,
@@ -263,7 +268,8 @@ def test_club_of_diamond_det():
     # degree-2 part of det(psi) is det(T' - T): direct truncation oracle
     p, N, D = 3, 2, 4
     out = diamond_realize(detT(), 1, 2, p, N, D)
-    oracle = homogeneous_component(sym_det(psi_phi_direct(1, 2, p, N, D)), 2)
+    psi = psi_phi_direct(1, 2, p, N, D)
+    oracle = homogeneous_component(_det_rows(psi.rows), 2)
     assert homogeneous_component(out, 2) == oracle
     heart = difference_substitution(detT(), p)
     assert homogeneous_component(out, 2) == reduce_rational_poly(heart, p, N)
@@ -368,7 +374,49 @@ def test_cyclic_word_rejects_bad_cycle():
     ((0, 2, 1, 3), 1, 2, 5, "verified", True),
     ((0, 3), 1, 2, 3, "verified", True),
     ((0, 2), 2, 2, 2, "verified", True),
+    ((0, 1, 2, 3), 1, 3, 3, "verified", True),
+    # the product is det Q^1 det Q^2 times the identity, so its trace
+    # 3 det Q^1 det Q^2 vanishes mod 3
+    ((0, 1, 0, 2), 1, 3, 3, "inconclusive", False),
 ])
 def test_cyclic_word_pinned_results(levels, j, g, p, status, nonzero):
     out = cyclic_word_check(levels, j, g, p)
     assert out == {"equal": True, "nonzero": nonzero, "status": status}
+
+
+def _cyclic_expansion_coeff(levels, j, g, p):
+    """The j-th characteristic coefficient of the alternating product of the
+    pair sums ``Q^(hi) + p Q^(hi-1) + ... + p^(hi-lo-1) Q^(lo+1)``, one per
+    cycle edge: the two-sided product that ``cyclic_word_check`` compares
+    with the one-word side."""
+    def pair_sum(a, b):
+        lo, hi = min(a, b), max(a, b)
+        return functools.reduce(operator.add, (
+            generic_sym_matrix(g, level=hi - i, family="Q").scale(p ** i)
+            for i in range(hi - lo)))
+
+    edges = zip(levels, levels[1:] + levels[:1])
+    return charpoly_coeff(alternating_product(
+        [pair_sum(a, b) for a, b in edges]), j)
+
+
+def _alternating_cycles(length, levels):
+    for cycle in itertools.product(levels, repeat=length):
+        if all(a != b for a, b in zip(cycle, cycle[1:] + cycle[:1])):
+            yield cycle
+
+
+def test_cyclic_expansion_agrees_with_one_word_mod_p():
+    # every pair sum is Q^(hi) mod p, so the two sides agree mod p; the
+    # check's nonzero flag must then match the expansion side too
+    cycles = [c for n in (2, 4) for c in _alternating_cycles(n, range(4))]
+    assert len(cycles) == 96
+    for levels in cycles:
+        for j in (1, 2):
+            cY = y_invariant(j, levels, 2)
+            for p in (2, 3, 5):
+                cF = _cyclic_expansion_coeff(levels, j, 2, p)
+                assert (cF - cY).map_coeffs(lambda c: c % p).is_zero()
+                nonzero = not cF.map_coeffs(lambda c: c % p).is_zero()
+                out = cyclic_word_check(levels, j, 2, p)
+                assert out["equal"] and out["nonzero"] == nonzero
