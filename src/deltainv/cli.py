@@ -54,12 +54,9 @@ def _resolve_seed(args) -> int:
 
 
 def _matrix_entries(series) -> list:
-    entries = []
-    for i in range(1, series.g + 1):
-        for j in range(1, series.g + 1):
-            entries.append({"row": i, "col": j,
-                            "terms": series.entry(i, j).serialize()})
-    return entries
+    return [{"row": i, "col": j, "terms": entry.serialize()}
+            for i, row in enumerate(series, 1)
+            for j, entry in enumerate(row, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +126,7 @@ def _cmd_diamond(args):
         label = {"invariant": "theta", "multidegree": list(mdeg)}
         r = len(mdeg)
     else:
-        invariant = _det_rows(generic_sym_matrix(args.g, level=0).rows)
+        invariant = _det_rows(generic_sym_matrix(args.g, level=0))
         label = {"invariant": "det"}
         r = 1
     poly = diamond_realize(invariant, r, args.g, args.p, args.prec, args.deg)
@@ -210,16 +207,16 @@ def _suite_expansions(args):
     base = psi_phi_direct(1, 2, p, N, D)
     linear = reduce_rational_poly(
         Tvar(1, 1, 1, one=Fraction(1)) - Tvar(0, 1, 1, one=Fraction(1)), p, N)
-    yield "linear-part", homogeneous_component(base.entry(1, 1), 1) == linear
+    yield "linear-part", homogeneous_component(base[0][0], 1) == linear
     yield ("twist-route",
            psi_phi_direct(2, 2, p, N, D) == phi_twist(base, p))
     angle = expansion_basic("f_angle", 1, 2, p, N, D)
     yield "angle-is-base-series", angle == base
     partial = expansion_basic("f_partial", 1, 2, p, N, D)
     yield ("partial-is-identity",
-           all(partial.entry(i, i).constant_value() for i in (1, 2))
-           and partial.entry(1, 2).is_zero())
-    det0 = _det_rows(generic_sym_matrix(2, level=0).rows)
+           all(partial[i][i].constant_value() for i in (0, 1))
+           and partial[0][1].is_zero())
+    det0 = _det_rows(generic_sym_matrix(2, level=0))
     yield "initial-form-det", initial_form_identity_check(det0, 2)
 
 

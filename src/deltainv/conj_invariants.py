@@ -10,9 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact_linalg import ExactMatrix, rank
-from .multipoly import MatrixPoly, MultiPoly, _det_rows, _mat_mul, \
-    adjugate, alternating_product, charpoly_coeff, generic_sym_matrix, \
-    wedge_power
+from .multipoly import MultiPoly, _det_rows, _mat_mul, _order, adjugate, \
+    alternating_product, charpoly_coeff, generic_sym_matrix, wedge_power
 
 
 # ---------------------------------------------------------------------------
@@ -23,8 +22,7 @@ def _num_inverse(M):
     det = _det_rows(M)
     if det == 0:
         raise ZeroDivisionError("matrix is singular")
-    adj = adjugate(MatrixPoly(M)).rows
-    return [[Fraction(x, 1) / det for x in row] for row in adj]
+    return [[Fraction(x, 1) / det for x in row] for row in adjugate(M)]
 
 
 # ---------------------------------------------------------------------------
@@ -33,23 +31,25 @@ def _num_inverse(M):
 
 def conj_act(L, mats):
     """Apply M -> L M L^(-1) to each matrix in the tuple."""
+    _order(L, *mats)
     Linv = _num_inverse(L)
     return [_mat_mul(_mat_mul(L, M), Linv) for M in mats]
 
 
 def trace_word(j: int, word, mats):
     """j-th characteristic coefficient of the product along the word."""
-    g = len(mats[0])
+    g = _order(*mats)
     P = [[1 if a == b else 0 for b in range(g)] for a in range(g)]
     for w in word:
         P = _mat_mul(P, mats[w])
-    return charpoly_coeff(MatrixPoly(P), j)
+    return charpoly_coeff(P, j)
 
 
 def phi_q(M0, M1, q: int):
     """Determinant of the commutator of the q-th exterior powers."""
-    A = wedge_power(MatrixPoly(M0), q).rows
-    B = wedge_power(MatrixPoly(M1), q).rows
+    _order(M0, M1)
+    A = wedge_power(M0, q)
+    B = wedge_power(M1, q)
     AB = _mat_mul(A, B)
     BA = _mat_mul(B, A)
     return _det_rows([[a - b for a, b in zip(r1, r2)]
@@ -58,15 +58,14 @@ def phi_q(M0, M1, q: int):
 
 def pi_n(Qs):
     """Adjugate-product tuple: (Q_0 Q_1*, Q_1 Q_2*, ..., Q_(n-1) Q_n*)."""
-    return [alternating_product([MatrixPoly(A), MatrixPoly(B)]).rows
-            for A, B in zip(Qs, Qs[1:])]
+    return [alternating_product([A, B]) for A, B in zip(Qs, Qs[1:])]
 
 
 # ---------------------------------------------------------------------------
 # symbolic cyclic products
 # ---------------------------------------------------------------------------
 
-def cyclic_matrix_product(levels, g: int) -> MatrixPoly:
+def cyclic_matrix_product(levels, g: int):
     """Alternating product of matrices and adjugates along a cyclic word.
 
     The k-th factor (k from 0) is ``Q^(max(levels[k], levels[k+1]))``, indices

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials and polynomial matrices.
+"""Sparse multivariate polynomials, and matrices as lists of rows.
 
 Monomials are stored as sorted tuples of ``(VarId, exponent)`` pairs, every
 exponent positive, mapping to exact coefficients (int, Fraction, or
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -460,7 +459,7 @@ def substitute(f: MultiPoly, sigma: dict, D: int | None = None) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# polynomial matrices
+# matrices: lists of rows over any commutative ring (MultiPoly, int, Fraction)
 # ---------------------------------------------------------------------------
 
 def _mat_mul(A, B):
@@ -469,54 +468,29 @@ def _mat_mul(A, B):
             for row in A]
 
 
-class MatrixPoly:
-    def __init__(self, rows):
-        self.rows = [list(r) for r in rows]
-        self.g = len(self.rows)
-        if any(len(r) != self.g for r in self.rows):
+def _order(*mats) -> int:
+    """The common size g of one or more square matrices; ``ValueError`` if
+    there are none, one is not square, or two differ in size."""
+    if not mats:
+        raise ValueError("at least one matrix is needed")
+    g = len(mats[0])
+    for M in mats:
+        if any(len(row) != len(M) for row in M):
             raise ValueError("matrix must be square")
-
-    def entry(self, i: int, j: int) -> MultiPoly:
-        return self.rows[i - 1][j - 1]
-
-    def scale(self, factor) -> "MatrixPoly":
-        return MatrixPoly([[e * factor for e in row] for row in self.rows])
-
-    def map_entries(self, fn) -> "MatrixPoly":
-        return MatrixPoly([[fn(e) for e in row] for row in self.rows])
-
-    def __add__(self, other):
-        return MatrixPoly([[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        return MatrixPoly([[a - b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.rows, other.rows)])
-
-    def __matmul__(self, other):
-        return MatrixPoly(_mat_mul(self.rows, other.rows))
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixPoly) or other.g != self.g:
-            return NotImplemented
-        return all(a == b for r1, r2 in zip(self.rows, other.rows)
-                   for a, b in zip(r1, r2))
+        if len(M) != g:
+            raise ValueError(f"matrices must all be {g} x {g}, "
+                             f"got {len(M)} x {len(M)}")
+    return g
 
 
-def identity_matrix(g: int) -> MatrixPoly:
-    return MatrixPoly([[MultiPoly.constant(1 if i == j else 0)
-                        for j in range(g)] for i in range(g)])
+def generic_sym_matrix(g: int, level: int, family: str = "T"):
+    return [[MultiPoly.var(VarId(family, level, min(i, j), max(i, j)))
+             for j in range(1, g + 1)] for i in range(1, g + 1)]
 
 
-def generic_sym_matrix(g: int, level: int, family: str = "T") -> MatrixPoly:
-    return MatrixPoly(
-        [[MultiPoly.var(VarId(family, level, min(i, j), max(i, j)))
-          for j in range(1, g + 1)] for i in range(1, g + 1)])
-
-
-def generic_matrix(g: int, level: int) -> MatrixPoly:
-    return MatrixPoly([[MultiPoly.var(VarId("X", level, i, j))
-                        for j in range(1, g + 1)] for i in range(1, g + 1)])
+def generic_matrix(g: int, level: int):
+    return [[MultiPoly.var(VarId("X", level, i, j))
+             for j in range(1, g + 1)] for i in range(1, g + 1)]
 
 
 def _det_rows(rows):
@@ -545,51 +519,47 @@ def _det_rows(rows):
     return total
 
 
-def adjugate(M: MatrixPoly) -> MatrixPoly:
-    g = M.g
-    unit = M.rows[0][0] ** 0
+def adjugate(M):
+    g = _order(M)
     out = [[None] * g for _ in range(g)]
     for i in range(g):
         for j in range(g):
-            minor = [[M.rows[r][c] for c in range(g) if c != j]
+            minor = [[M[r][c] for c in range(g) if c != j]
                      for r in range(g) if r != i]
-            cof = _det_rows(minor) if minor else unit
+            cof = _det_rows(minor) if minor else M[0][0] ** 0
             out[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return MatrixPoly(out)
+    return out
 
 
-def alternating_product(factors) -> MatrixPoly:
-    """F_0 adj(F_1) F_2 adj(F_3) ... for a nonempty list of matrices."""
-    return functools.reduce(operator.matmul, (
+def alternating_product(factors):
+    """F_0 adj(F_1) F_2 adj(F_3) ... for a nonempty list of matrices of one
+    size."""
+    _order(*factors)
+    return functools.reduce(_mat_mul, (
         adjugate(F) if k % 2 else F for k, F in enumerate(factors)))
 
 
-def charpoly_coeff(M: MatrixPoly, j: int):
+def charpoly_coeff(M, j: int):
     """The coefficient c_j, 0 <= j <= g, in det(t*1 - M) = sum (-1)^j c_j
     t^(g-j): the sum of the j x j principal minors of M."""
     from itertools import combinations
 
-    g = M.g
+    g = _order(M)
     if not 0 <= j <= g:
         raise ValueError(f"coefficient index must be in [0, {g}], got {j}")
     if j == 0:
-        return M.rows[0][0] ** 0
-    return sum(_det_rows([[M.rows[r][c] for c in S] for r in S])
+        return M[0][0] ** 0 if g else 1
+    return sum(_det_rows([[M[r][c] for c in S] for r in S])
                for S in combinations(range(g), j))
 
 
-def wedge_power(M: MatrixPoly, q: int) -> MatrixPoly:
+def wedge_power(M, q: int):
     """q-th exterior power on the lexicographic basis of q-subsets."""
     from itertools import combinations
 
-    g = M.g
+    g = _order(M)
     if not 1 <= q <= g - 1:
         raise BadQ(f"exterior power order must be in [1, {g - 1}], got {q}")
     subsets = list(combinations(range(g), q))
-    out = []
-    for S in subsets:
-        row = []
-        for T in subsets:
-            row.append(_det_rows([[M.rows[r][c] for c in T] for r in S]))
-        out.append(row)
-    return MatrixPoly(out)
+    return [[_det_rows([[M[r][c] for c in T] for r in S]) for T in subsets]
+            for S in subsets]

@@ -29,6 +29,7 @@ from .multipoly import (
     VarId,
     _det_rows,
     _mat_mul,
+    _order,
     substitute,
     uvar,
     vvar,
@@ -49,6 +50,7 @@ THETA_BUDGET = 10 ** 6
 
 def congruence_act(L, mats):
     """Apply M -> L M L^t to each matrix in the tuple."""
+    _order(L, *mats)
     Lt = list(zip(*L))
     return [_mat_mul(_mat_mul(L, M), Lt) for M in mats]
 

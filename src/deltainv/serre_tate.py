@@ -22,13 +22,7 @@ from fractions import Fraction
 from .conj_invariants import y_invariant
 from .delta_calculus import frobenius_lift
 from .exact_arith import TruncatedPadic, rational_reduce, require_prime
-from .multipoly import (
-    MatrixPoly,
-    MultiPoly,
-    VarId,
-    homogeneous_component,
-    substitute,
-)
+from .multipoly import MultiPoly, VarId, homogeneous_component, substitute
 
 
 def reduce_rational_poly(f: MultiPoly, p: int, N: int) -> MultiPoly:
@@ -81,31 +75,30 @@ def _rename(f: MultiPoly, i: int, j: int) -> MultiPoly:
                       for key, c in f.terms.items()}, trunc=f.trunc)
 
 
-def _entrywise(f: MultiPoly, g: int, p: int, N: int) -> MatrixPoly:
-    """The g x g matrix carrying f, reduced mod p^N once, in each entry's
-    variables."""
+def _entrywise(f: MultiPoly, g: int, p: int, N: int):
+    """The g x g matrix (a list of rows) carrying f, reduced mod p^N once,
+    in each entry's variables."""
     f = reduce_rational_poly(f, p, N)
-    return MatrixPoly([[_rename(f, i, j) for j in range(1, g + 1)]
-                       for i in range(1, g + 1)])
+    return [[_rename(f, i, j) for j in range(1, g + 1)]
+            for i in range(1, g + 1)]
 
 
-def psi_phi_direct(a: int, g: int, p: int, N: int, D: int) -> MatrixPoly:
+def psi_phi_direct(a: int, g: int, p: int, N: int, D: int):
     """The (a-1)-fold twisted series, built directly from Frobenius iterates."""
     return _entrywise(_log_series(a, p, D), g, p, N)
 
 
-def phi_twist(S: MatrixPoly, p: int) -> MatrixPoly:
+def phi_twist(S, p: int):
     """Apply the Frobenius lift to every variable of every entry; each entry
     keeps its degree bound."""
-    return S.map_entries(lambda f: frobenius_lift(f, p))
+    return [[frobenius_lift(f, p) for f in row] for row in S]
 
 
 # ---------------------------------------------------------------------------
 # expansions of the basic forms
 # ---------------------------------------------------------------------------
 
-def expansion_basic(kind: str, index: int, g: int, p: int, N: int,
-                    D: int) -> MatrixPoly:
+def expansion_basic(kind: str, index: int, g: int, p: int, N: int, D: int):
     require_prime(p)
     if g < 1:
         raise ValueError(f"matrix size must be at least 1, got {g}")
@@ -117,8 +110,8 @@ def expansion_basic(kind: str, index: int, g: int, p: int, N: int,
         raise ValueError(f"degree bound must be nonnegative, got {D}")
     if kind == "f_partial":
         one = TruncatedPadic(p, N, 1)
-        return MatrixPoly([[MultiPoly.constant(one if i == j else one * 0)
-                            for j in range(g)] for i in range(g)])
+        return [[MultiPoly.constant(one if i == j else one * 0)
+                 for j in range(g)] for i in range(g)]
     if kind == "f_angle":
         return psi_phi_direct(index, g, p, N, D)
     # sum_(i < index) p^i psi_(index - i), telescoped
@@ -222,8 +215,9 @@ def cyclic_word_check(levels, j: int, g: int, p: int) -> dict:
     single-word side is nonzero mod p, carries information, and only that
     side is computed; the status is ``"verified"`` when it is nonzero and
     ``"inconclusive"`` otherwise.  The computation is exact and needs no
-    degree truncation.
+    degree truncation.  p must be prime.
     """
+    require_prime(p)
     levels = tuple(levels)
     if len(levels) % 2 or len(levels) < 2:
         raise ValueError("cycle must have positive even length")

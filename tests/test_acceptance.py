@@ -19,6 +19,7 @@ from deltainv.exact_arith import rational_reduce
 from deltainv.exact_linalg import ExactMatrix, rank
 from deltainv.multipoly import (
     _det_rows,
+    _mat_mul,
     MultiPoly,
     Tvar,
     VarId,
@@ -220,7 +221,7 @@ def test_criterion_05_jacobian_ranks():
 def test_criterion_06_jmath_and_xi():
     # determinants generate the kernel: each det T^(l) maps to 0
     for level in range(3):
-        assert jmath(_det_rows(generic_sym_matrix(2, level).rows)).is_zero()
+        assert jmath(_det_rows(generic_sym_matrix(2, level))).is_zero()
 
     # the basic mixed theta maps onto the squared pair bracket
     th = theta(2, (1, 1))
@@ -335,7 +336,7 @@ def test_criterion_10_conjugation_invariants():
     pair_words = [
         charpoly_coeff(X0, 1), charpoly_coeff(X0, 2),
         charpoly_coeff(X1, 1), charpoly_coeff(X1, 2),
-        charpoly_coeff(X0 @ X1, 1),
+        charpoly_coeff(_mat_mul(X0, X1), 1),
     ]
     prime = (1 << 31) - 1
     for _ in range(3):
@@ -345,12 +346,12 @@ def test_criterion_10_conjugation_invariants():
 
     # pulled back through the adjugate-product map the rank is still 5
     Qs = [generic_sym_matrix(2, l, family="Q") for l in range(3)]
-    W1 = Qs[0] @ adjugate(Qs[1])
-    W2 = Qs[1] @ adjugate(Qs[2])
+    W1 = _mat_mul(Qs[0], adjugate(Qs[1]))
+    W2 = _mat_mul(Qs[1], adjugate(Qs[2]))
     pulled = [
         charpoly_coeff(W1, 1), charpoly_coeff(W1, 2),
         charpoly_coeff(W2, 1), charpoly_coeff(W2, 2),
-        charpoly_coeff(W1 @ W2, 1),
+        charpoly_coeff(_mat_mul(W1, W2), 1),
     ]
     vars_ = sorted({v for f in pulled for v in f.variables()})
     assert len(vars_) == 9
@@ -367,7 +368,7 @@ def test_criterion_11_expansion_engine():
     # linear parts: p^i (T^(i+1) - T^(i))
     for p in (2, 3):
         S = psi_phi_direct(1, 1, p, 2, 3)
-        lin = homogeneous_component(S.entry(1, 1), 1)
+        lin = homogeneous_component(S[0][0], 1)
         expected = (MultiPoly.constant(rational_reduce(1, p, 2))
                     * (Tvar(1, 1, 1) - Tvar(0, 1, 1)))
         assert lin == expected
@@ -390,15 +391,16 @@ def test_criterion_11_expansion_engine():
             for D in (3, 4):
                 f2 = expansion_basic("f_r", 2, 1, p, N, D)
                 S = psi_phi_direct(1, 1, p, N, D)
-                rhs = phi_twist(S, p) + S.scale(p)
+                rhs = [[a + b * p for a, b in zip(r1, r2)]
+                       for r1, r2 in zip(phi_twist(S, p), S)]
                 assert f2 == rhs
 
     # scalar series oracle values
-    val3 = psi_phi_direct(1, 1, 3, 2, 8).entry(1, 1).evaluate(
+    val3 = psi_phi_direct(1, 1, 3, 2, 8)[0][0].evaluate(
         {Tvar(0, 1, 1).variables().pop(): 0,
          Tvar(1, 1, 1).variables().pop(): 1})
     assert str(val3) == "7 mod 3^2"
-    val2 = psi_phi_direct(1, 1, 2, 3, 12).entry(1, 1).evaluate(
+    val2 = psi_phi_direct(1, 1, 2, 3, 12)[0][0].evaluate(
         {Tvar(0, 1, 1).variables().pop(): 0,
          Tvar(1, 1, 1).variables().pop(): 1})
     assert str(val2) == "2 mod 2^3"
@@ -420,7 +422,7 @@ def _twist_times(S, p, k):
 # ---------------------------------------------------------------------------
 
 def test_criterion_12_initial_form_identity():
-    det2 = _det_rows(generic_sym_matrix(2, 0).rows)
+    det2 = _det_rows(generic_sym_matrix(2, 0))
     th11 = theta(2, (1, 1))
     for F in (det2, th11):
         assert initial_form_identity_check(F, F.degree())

@@ -26,14 +26,18 @@ from deltainv.conj_invariants import (
 from deltainv.exact_linalg import ExactMatrix, rank
 from deltainv.multipoly import (
     _det_rows,
-    MatrixPoly,
+    _mat_mul,
     MultiPoly,
     VarId,
+    adjugate,
+    alternating_product,
     charpoly_coeff,
     generic_matrix,
     generic_sym_matrix,
+    wedge_power,
 )
-from deltainv.quad_invariants import theta, theta_multidegrees
+from deltainv.quad_invariants import congruence_act, theta, \
+    theta_multidegrees
 from deltainv.serre_tate import cyclic_word_check
 
 
@@ -218,17 +222,17 @@ def test_pi_n_equivariance():
 def test_cyclic_product_two_levels_is_scaled_identity():
     for a in (1, 2):
         Y = cyclic_matrix_product((0, a), 2)
-        det = _det_rows(generic_sym_matrix(2, a, family="Q").rows)
+        det = _det_rows(generic_sym_matrix(2, a, family="Q"))
         for i in range(1, 3):
             for j in range(1, 3):
                 expect = det if i == j else MultiPoly.constant(0)
-                assert Y.entry(i, j) == expect
+                assert Y[i - 1][j - 1] == expect
         assert y_invariant(1, (0, a), 2) == det * 2
 
 
 def test_y_invariant_is_trace():
     Y = cyclic_matrix_product((1, 2, 1, 3), 2)
-    trace = Y.entry(1, 1) + Y.entry(2, 2)
+    trace = Y[0][0] + Y[1][1]
     assert y_invariant(1, (1, 2, 1, 3), 2) == trace
 
 
@@ -239,7 +243,7 @@ def test_y_invariant_cyclic_rotation():
 
 
 @pytest.mark.parametrize("coefficient,one", [
-    (lambda j: charpoly_coeff(MatrixPoly([[1, 2], [3, 4]]), j), 1),
+    (lambda j: charpoly_coeff([[1, 2], [3, 4]], j), 1),
     (lambda j: trace_word(j, (0, 1), [[[1, 2], [3, 4]], [[0, 1], [1, 1]]]),
      1),
     (lambda j: y_invariant(j, (0, 1), 2), 1),
@@ -253,12 +257,58 @@ def test_coefficient_index_must_lie_in_0_to_g(coefficient, one):
     assert coefficient(0) == one
 
 
+def test_empty_inputs():
+    # the 0 x 0 matrix has c_0 = det = 1; a trace word needs a matrix
+    assert charpoly_coeff([], 0) == 1
+    with pytest.raises(ValueError):
+        trace_word(1, (), [])
+
+
+_I2 = [[1, 0], [0, 1]]
+_BAD_SHAPES = {
+    "ragged": [[1, 2], [3]],
+    "non-square": [[1, 2], [3, 4], [5, 6]],
+}
+_ONE_MATRIX = {
+    "adjugate": adjugate,
+    "charpoly_coeff": lambda M: charpoly_coeff(M, 1),
+    "wedge_power": lambda M: wedge_power(M, 1),
+}
+_TWO_MATRICES = {
+    "alternating_product": lambda A, B: alternating_product([A, B]),
+    "trace_word": lambda A, B: trace_word(1, (0, 1), [A, B]),
+    "phi_q": lambda A, B: phi_q(A, B, 1),
+    "pi_n": lambda A, B: pi_n([A, B]),
+    "conj_act": lambda A, B: conj_act(A, [B]),
+    "congruence_act": lambda A, B: congruence_act(A, [B]),
+}
+
+
+def _shape_cases():
+    for name, fn in _ONE_MATRIX.items():
+        for shape, M in _BAD_SHAPES.items():
+            yield pytest.param(fn, (M,), id=f"{name}-{shape}")
+    for name, fn in _TWO_MATRICES.items():
+        for shape, M in _BAD_SHAPES.items():
+            yield pytest.param(fn, (_I2, M), id=f"{name}-second-{shape}")
+            yield pytest.param(fn, (M, _I2), id=f"{name}-first-{shape}")
+        # a 3 x 3 matrix with a 2 x 2 one, which a zipped product truncates
+        M3 = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+        yield pytest.param(fn, (_I2, M3), id=f"{name}-size-mismatch")
+
+
+@pytest.mark.parametrize("fn,args", _shape_cases())
+def test_matrix_shapes_are_checked(fn, args):
+    with pytest.raises(ValueError, match="must be square|must all be"):
+        fn(*args)
+
+
 # ---------------------------------------------------------------- jacobian ranks
 
 def test_jacobian_full_rank_for_coordinates():
     g = 2
     X = generic_matrix(g, 0)
-    polys = [X.entry(i, j) for i in range(1, g + 1) for j in range(1, g + 1)]
+    polys = [X[i - 1][j - 1] for i in range(1, g + 1) for j in range(1, g + 1)]
     point = {v: 3 + k for k, v in enumerate(sorted(set().union(*[p.variables() for p in polys])))}
     assert jacobian_rank(polys, point, field=(1 << 31) - 1) == 4
 
@@ -333,7 +383,7 @@ def test_trace_word_rank_small():
     polys = [
         charpoly_coeff(X0, 1), charpoly_coeff(X0, 2),
         charpoly_coeff(X1, 1), charpoly_coeff(X1, 2),
-        charpoly_coeff(X0 @ X1, 1),
+        charpoly_coeff(_mat_mul(X0, X1), 1),
     ]
     vars_ = sorted(set().union(*[p.variables() for p in polys]))
     q0 = (1 << 31) - 1
