@@ -1,7 +1,10 @@
 """Batch command-line front end.
 
 Every subcommand handler runs one computation and returns one JSON document,
-which ``main`` writes on standard output (or to ``--out FILE``).  Exit codes:
+which ``main`` writes on standard output (or to ``--out FILE``) in the layout
+of ``json.dumps(doc, indent=2)``; a polynomial in a document is written as
+the list of its terms, one ``{name: exponent, ..., "coefficient": str}``
+record per monomial in sorted order.  Exit codes:
 0 on success, 1 when a verification suite reports failures, 2 on usage
 errors, invalid input and an unwritable ``--out``.  Randomized subcommands
 draw from ``--seed``; when the flag is absent the environment variable
@@ -11,7 +14,7 @@ draw from ``--seed``; when the flag is absent the environment variable
 from __future__ import annotations
 
 import argparse
-import json
+import json.encoder
 import os
 import random
 import sys
@@ -21,7 +24,7 @@ from .delta_calculus import canonical_delta, delta_bracket
 from .conj_invariants import jacobian_rank
 from .exact_arith import require_prime
 from .multipoly import MultiPoly, Tvar, _det_rows, generic_sym_matrix, \
-    homogeneous_component
+    homogeneous_component, var_name
 from .quad_invariants import (
     b0_count,
     hilbert_closed,
@@ -54,9 +57,96 @@ def _resolve_seed(args) -> int:
 
 
 def _matrix_entries(series) -> list:
-    return [{"row": i, "col": j, "terms": entry.serialize()}
+    return [{"row": i, "col": j, "terms": entry}
             for i, row in enumerate(series, 1)
             for j, entry in enumerate(row, 1)]
+
+
+# ---------------------------------------------------------------------------
+# the document writer
+# ---------------------------------------------------------------------------
+
+# json.dumps encodes in pure Python whenever ``indent`` is set; these are the
+# C scalar encoders it would call.
+_quote = json.encoder.encode_basestring_ascii
+_int = int.__repr__
+
+
+def _document(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\n"``, with ``MultiPoly`` values.
+
+    Dict keys must be strings; a value other than a dict, list, str, int,
+    bool, None or ``MultiPoly`` raises ``TypeError``."""
+    out = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, nl, out):
+    """Append ``value`` to ``out``; ``nl`` starts the line it is on."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(_int(value))
+    elif isinstance(value, MultiPoly):
+        _write_poly(value, nl, out)
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+
+
+def _write_poly(poly, nl, out):
+    """The terms of ``poly`` as records, each variable's quoted name
+    prefix built once."""
+    terms = poly.terms
+    if not terms:
+        out.append("[]")
+        return
+    record = nl + "  "
+    field = record + "  "
+    names = {v: var_name(v) for v in {v for key in terms for v, _ in key}}
+    if len(set(names.values())) < len(names):
+        raise ValueError("two variables of a polynomial share a name")
+    prefix = {v: field + _quote(name) + ": " for v, name in names.items()}
+    coefficient = field + '"coefficient": '
+    close = record + "}"
+    sep = "[" + record + "{"
+    for key in sorted(terms):
+        out.append(sep + "".join([prefix[v] + _int(e) + "," for v, e in key])
+                   + coefficient + _quote(str(terms[key])) + close)
+        sep = "," + record + "{"
+    out.append(nl + "]")
 
 
 # ---------------------------------------------------------------------------
@@ -84,20 +174,20 @@ def _cmd_theta(args):
     mdeg = _int_tuple(args.multidegree)
     poly = theta(args.g, mdeg)
     return {"g": args.g, "multidegree": list(mdeg),
-            "polynomial": poly.serialize()}
+            "polynomial": poly}
 
 
 def _cmd_upsilon(args):
     levels = _int_tuple(args.levels)
     poly = upsilon(args.g, levels)
     return {"g": args.g, "levels": list(levels),
-            "polynomial": poly.serialize()}
+            "polynomial": poly}
 
 
 def _cmd_xi(args):
     cycle = _int_tuple(args.cycle)
     poly = xi_lift(cycle)
-    return {"cycle": list(cycle), "polynomial": poly.serialize()}
+    return {"cycle": list(cycle), "polynomial": poly}
 
 
 def _cmd_relations(args):
@@ -132,7 +222,7 @@ def _cmd_diamond(args):
     poly = diamond_realize(invariant, r, args.g, args.p, args.prec, args.deg)
     doc = {"g": args.g, "r": r, "p": args.p, "N": args.prec, "D": args.deg}
     doc.update(label)
-    doc["polynomial"] = poly.serialize()
+    doc["polynomial"] = poly
     return doc
 
 
@@ -322,10 +412,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         doc = args.handler(args)
+        text = _document(doc)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(doc, indent=2) + "\n"
     if not args.out:
         sys.stdout.write(text)
     else:

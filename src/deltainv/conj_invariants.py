@@ -41,6 +41,8 @@ def trace_word(j: int, word, mats):
     g = _order(*mats)
     P = [[1 if a == b else 0 for b in range(g)] for a in range(g)]
     for w in word:
+        if not 0 <= w < len(mats):
+            raise ValueError(f"letter {w} is not in 0..{len(mats) - 1}")
         P = _mat_mul(P, mats[w])
     return charpoly_coeff(P, j)
 

@@ -293,14 +293,6 @@ class MultiPoly:
             total = total + term
         return total
 
-    def serialize(self):
-        out = []
-        for key in sorted(self.terms):
-            rec = {var_name(v): e for v, e in key}
-            rec["coefficient"] = str(self.terms[key])
-            out.append(rec)
-        return out
-
     # -- arithmetic ----------------------------------------------------------
 
     @staticmethod

@@ -5,12 +5,19 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from deltainv import cli
-from deltainv.cli import main
+from deltainv.cli import _document, main
+from deltainv.exact_arith import TruncatedPadic
+from deltainv.multipoly import MultiPoly, Tvar, VarId, uvar, var_name, \
+    vvar, zvar
+from deltainv.serre_tate import expansion_basic
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -308,6 +315,15 @@ def test_out_file(tmp_path, capsys):
     assert doc["dimension"] == 1
 
 
+def test_out_file_has_the_stdout_bytes(tmp_path, capsys):
+    argv = ["theta", "--g", "3", "--multidegree", "2,1"]
+    code, out = run_cli(capsys, *argv)
+    target = tmp_path / "theta.json"
+    assert main(argv + ["--out", str(target)]) == 0 == code
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode()
+
+
 def test_failed_verification_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "initial_form_identity_check",
                         lambda F, D: False)
@@ -316,6 +332,94 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
     doc = json.loads(out)
     assert code == 1 and doc["failed"] == 1
     assert doc["passed"] == doc["total"] - 1
+
+
+# ---------------------------------------------------------------- the writer
+
+# quotes, backslashes, control characters and non-ASCII among any characters
+_SPECIAL = '"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'
+_TEXT = st.text(st.one_of(st.sampled_from(_SPECIAL), st.characters()))
+_SCALARS = st.one_of(_TEXT, st.integers(), st.integers(min_value=2**64),
+                     st.integers(max_value=-2**64), st.booleans(), st.none())
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+@given(_DOCS)
+@example({"a": [{}, [], [[]], {"b": {}}], "": [None, True, False, -0]})
+@example('quote " backslash \\ nul \x00 e\u0301 \U0001f600')
+def test_document_matches_json_dumps(doc):
+    assert _document(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    0.5, Fraction(1, 2), [1, Fraction(1, 2)], {"x": 1.0}, (1, 2)])
+def test_document_refuses_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        _document({"value": value})
+
+
+def _records(poly):
+    """The terms of ``poly`` as dicts, as the CLI wrote them through
+    ``json.dumps`` before it wrote polynomials directly."""
+    out = []
+    for key in sorted(poly.terms):
+        rec = {var_name(v): e for v, e in key}
+        rec["coefficient"] = str(poly.terms[key])
+        out.append(rec)
+    return out
+
+
+def _var(family, level, i, j):
+    return MultiPoly.var(VarId(family, level, i, j))
+
+
+_POLYS = {
+    "zero": MultiPoly({}),
+    "int-constant": MultiPoly.constant(-7),
+    "fraction-constant": MultiPoly.constant(Fraction(3, 4)),
+    "int": Tvar(1, 1, 2) * Tvar(0, 1, 1) * 3 - Tvar(0, 1, 1) ** 2 + 5,
+    "fraction": Tvar(0, 1, 2, one=Fraction(-1, 3)) ** 3
+    + Tvar(2, 2, 2, one=Fraction(1)),
+    "padic": (Tvar(0, 1, 1, one=TruncatedPadic(3, 2, 1))
+              + Tvar(1, 1, 2, one=TruncatedPadic(3, 2, 1)) * 4) ** 2,
+    "every-name": (Tvar(0, 1, 2) + _var("Q", 1, 2, 3) * _var("X", 0, 3, 1)
+                   + uvar(2) * vvar(0) ** 3 + zvar(1, 0) * zvar(1, 2)
+                   + _var("w", 1, 2, 0)) ** 2,
+}
+
+
+@pytest.mark.parametrize("name", _POLYS)
+def test_polynomial_is_written_as_its_records(name):
+    f = _POLYS[name]
+    doc = {"g": 2, "polynomial": f}
+    old = {"g": 2, "polynomial": _records(f)}
+    assert _document(doc) == json.dumps(old, indent=2) + "\n"
+
+
+def test_constant_is_one_coefficient_record():
+    doc = json.loads(_document({"polynomial": MultiPoly.constant(5)}))
+    assert doc == {"polynomial": [{"coefficient": "5"}]}
+
+
+def test_expand_entries_are_written_as_their_records():
+    series = expansion_basic("f_angle", 1, 2, 3, 2, 4)
+    entries = cli._matrix_entries(series)
+    old = [dict(entry, terms=_records(entry["terms"])) for entry in entries]
+    assert any(entry["terms"] for entry in old)
+    assert _document({"entries": entries}) \
+        == json.dumps({"entries": old}, indent=2) + "\n"
+
+
+def test_variables_with_one_name_are_refused():
+    # "a1" at level 2 and "a" at level 12 are both named a12_0_0
+    f = _var("a1", 2, 0, 0) + _var("a", 12, 0, 0)
+    assert var_name(VarId("a1", 2, 0, 0)) == var_name(VarId("a", 12, 0, 0))
+    with pytest.raises(ValueError, match="share a name"):
+        _document({"polynomial": f})
 
 
 def _readme_commands():

@@ -264,6 +264,15 @@ def test_empty_inputs():
         trace_word(1, (), [])
 
 
+@pytest.mark.parametrize("letter", [2, -1])
+def test_trace_word_rejects_letters_outside_the_tuple(letter):
+    # before the check, 2 raised IndexError and -1 read the last matrix
+    mats = [[[1, 0], [0, 1]], [[2, 0], [0, 3]]]
+    assert trace_word(1, (1,), mats) == 5
+    with pytest.raises(ValueError, match="letter"):
+        trace_word(1, (letter,), mats)
+
+
 _I2 = [[1, 0], [0, 1]]
 _BAD_SHAPES = {
     "ragged": [[1, 2], [3]],

@@ -4,6 +4,7 @@ Oracles: sympy (determinants, adjugates, characteristic polynomials on random
 integer matrices) and hand expansion for the small fixed cases.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from deltainv.multipoly import (
     var_name,
     wedge_power,
 )
+from deltainv.cli import _document
 from deltainv.multipoly import VarId
 from deltainv.exact_arith import TruncatedPadic
 
@@ -734,8 +736,9 @@ def test_wedge_bad_q():
 
 def test_serialization_is_deterministic_and_named():
     f = T(1, 1, 2) * T(0, 1, 1) + T(0, 1, 1) * 2
-    rec = f.serialize()
-    assert rec == f.serialize()
+    text = _document({"polynomial": f})
+    assert text == _document({"polynomial": f})
+    rec = json.loads(text)["polynomial"]
     names = {n for term in rec for n in term if n != "coefficient"}
     assert names == {"T0_11", "T1_12"}
 
