@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .multipoly import MultiPoly, VarId, substitute
+from .multipoly import MultiPoly, VarId, substitute, zvar
 
 
 class Weight:
-    """An element of Z[phi], stored as its coefficient list."""
+    """A weight sum a_k phi^k in Z[phi], held as its coefficient list
+    [a_0, a_1, ...] without trailing zeros; closed under ``+``."""
 
     __slots__ = ("coeffs",)
 
@@ -27,44 +28,16 @@ class Weight:
             coeffs.pop()
         self.coeffs = coeffs
 
-    def deg(self) -> int:
-        return sum(self.coeffs)
-
-    def ord(self) -> int:
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return 0
-
-    def is_nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
-
-    def serialize(self) -> str:
-        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
-
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + [0] * (n - len(self.coeffs))
         b = other.coeffs + [0] * (n - len(other.coeffs))
         return Weight([x + y for x, y in zip(a, b)])
 
-    def __mul__(self, other):
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, x in enumerate(self.coeffs):
-            for j, y in enumerate(other.coeffs):
-                out[i + j] += x * y
-        return Weight(out)
-
     def __eq__(self, other):
         if not isinstance(other, Weight):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __le__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [0] * (n - len(self.coeffs))
-        b = other.coeffs + [0] * (n - len(other.coeffs))
-        return all(x <= y for x, y in zip(a, b))
 
     def __hash__(self):
         return hash(tuple(self.coeffs))
@@ -114,13 +87,12 @@ def _iterate_images(i: int, max_level: int, p: int):
     Returns g[0..max_level] with g[j] the polynomial (over Q) in the
     coordinates w_{i,0..j} whose value is z_i^(j).
     """
-    z0 = MultiPoly.var(VarId("z", 0, i, 0))
     gs = [phi_coordinate(i, 0)]
-    W = z0
+    W = zvar(i, 0)
     for j in range(1, max_level + 1):
         W = frobenius_lift(W, p)
         # W = p^j z^(j) + R(z^(0..j-1))
-        R = W - MultiPoly.var(VarId("z", j, i, 0)) * p ** j
+        R = W - zvar(i, j) * p ** j
         sigma = {VarId("z", l, i, 0): gs[l] for l in range(j)}
         Rw = substitute(R.map_coeffs(Fraction), sigma)
         gs.append((phi_coordinate(i, j) - Rw) * Fraction(1, p ** j))
@@ -157,7 +129,7 @@ def delta_homog_decompose(F: MultiPoly, p: int) -> dict:
 
 def homogeneous_weight(F: MultiPoly, p: int):
     """The weight of F if it is graded-homogeneous and integral, else None."""
-    if F.is_zero():
+    if not F:
         return None
     for c in F.terms.values():
         if isinstance(c, Fraction) and c.denominator != 1:
@@ -174,7 +146,7 @@ def phi_to_levels(F: MultiPoly, p: int) -> MultiPoly:
     for v in F.variables():
         if v.family != "w":
             raise ValueError("expected Frobenius-iterate coordinates")
-        img = MultiPoly.var(VarId("z", 0, v.i, 0))
+        img = zvar(v.i, 0)
         for _ in range(v.level):
             img = frobenius_lift(img, p)
         sigma[v] = img.map_coeffs(Fraction)

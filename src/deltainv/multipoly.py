@@ -68,21 +68,21 @@ def var_name(v: VarId) -> str:
     return f"{v.family}{v.level}_{v.i}_{v.j}"
 
 
-def Tvar(level: int, i: int, j: int, one=1) -> "MultiPoly":
+def Tvar(level: int, i: int, j: int) -> "MultiPoly":
     """Entry of a symmetric matrix variable; indices are order-normalized."""
-    return MultiPoly.var(VarId("T", level, min(i, j), max(i, j)), one)
+    return MultiPoly.var(VarId("T", level, min(i, j), max(i, j)))
 
 
-def uvar(level: int, one=1) -> "MultiPoly":
-    return MultiPoly.var(VarId("u", level, 0, 0), one)
+def uvar(level: int) -> "MultiPoly":
+    return MultiPoly.var(VarId("u", level, 0, 0))
 
 
-def vvar(level: int, one=1) -> "MultiPoly":
-    return MultiPoly.var(VarId("v", level, 0, 0), one)
+def vvar(level: int) -> "MultiPoly":
+    return MultiPoly.var(VarId("v", level, 0, 0))
 
 
-def zvar(i: int, level: int, one=1) -> "MultiPoly":
-    return MultiPoly.var(VarId("z", level, i, 0), one)
+def zvar(i: int, level: int) -> "MultiPoly":
+    return MultiPoly.var(VarId("z", level, i, 0))
 
 
 def _domain(coeff):
@@ -242,13 +242,10 @@ class MultiPoly:
         return cls({(): c})
 
     @classmethod
-    def var(cls, vid: VarId, one=1) -> "MultiPoly":
-        return cls({((vid, 1),): one})
+    def var(cls, vid: VarId) -> "MultiPoly":
+        return cls({((vid, 1),): 1})
 
     # -- inspection ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -384,7 +381,7 @@ class MultiPoly:
         other = self._as_poly(other)
         if other is None:
             return NotImplemented
-        return (self - other).is_zero()
+        return not self - other
 
     def __repr__(self):
         if not self.terms:

@@ -82,7 +82,7 @@ def sl_annihilates(f: MultiPoly, g: int) -> bool:
     """True when every elementary trace-free derivation kills f."""
     for a in range(1, g + 1):
         for b in range(1, g + 1):
-            if a != b and not _apply_derivation(f, a, b).is_zero():
+            if a != b and _apply_derivation(f, a, b):
                 return False
     return True
 
@@ -299,7 +299,7 @@ def relation_check(kind: str, indices=(0, 1, 2, 3), split=None):
         lhs = xi_lift(indices) + xi_lift(head + tail) * xi_lift(inner)
         rhs = xi_lift(head + inner[::-1] + tail) * ((-1) ** s)
         residual = lhs - rhs
-        return residual.is_zero(), {"residual_terms": len(residual.terms)}
+        return not residual, {"residual_terms": len(residual.terms)}
     if kind == "plucker":
         if split is not None:
             raise ValueError(f"split must be omitted for the Plucker "

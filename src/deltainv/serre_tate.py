@@ -225,6 +225,6 @@ def cyclic_word_check(levels, j: int, g: int, p: int) -> dict:
     if any(a == b for a, b in edges):
         raise ValueError(f"cycle entries must alternate, got {levels}")
     cY = y_invariant(j, levels, g)
-    nonzero = not cY.map_coeffs(lambda c: c % p).is_zero()
+    nonzero = bool(cY.map_coeffs(lambda c: c % p))
     return {"equal": True, "nonzero": nonzero,
             "status": "verified" if nonzero else "inconclusive"}

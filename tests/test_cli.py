@@ -112,12 +112,13 @@ def test_b0_deterministic(capsys):
     assert json.loads(out1)["max_count"] == 2
 
 
-def test_seed_from_environment(capsys, monkeypatch):
+def test_seed_comes_from_the_flag_alone(capsys, monkeypatch):
+    # no environment variable may choose the seed
     monkeypatch.setenv("DELTA_INV_SEED", "7")
-    _, out_env = run_cli(capsys, "b0", "--g", "2", "--q", "101", "--trials", "5")
-    _, out_flag = run_cli(capsys, "b0", "--g", "2", "--q", "101", "--trials", "5",
-                          "--seed", "7")
-    assert out_env == out_flag
+    args = ("b0", "--g", "3", "--q", "101", "--trials", "5")
+    _, out_default = run_cli(capsys, *args)
+    _, out_zero = run_cli(capsys, *args, "--seed", "0")
+    assert out_default == out_zero
 
 
 _CAPTURE_RANK_POINT = """
@@ -179,6 +180,17 @@ def test_verify_expansions_suite(capsys):
     assert json.loads(out)["failed"] == 0
 
 
+def test_verify_expansions_needs_degree_one(capsys):
+    # at --deg 0 the series has no linear part to compare with T' - T
+    code, out = run_cli(capsys, "verify", "--suite", "expansions", "--p", "2",
+                        "--prec", "2", "--deg", "0")
+    assert code == 2 and out == ""
+    code, out = run_cli(capsys, "verify", "--suite", "expansions", "--p", "2",
+                        "--prec", "2", "--deg", "1")
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] == doc["total"] == 5
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["dims", "--g", "2"]) == 2
@@ -196,6 +208,7 @@ def test_usage_error_exit_code(capsys):
     "expand --kind f_angle --prec -1",
     "diamond --prec -1",
     "verify --suite expansions --prec -1",
+    "verify --suite expansions --deg 0",
     "hilbert --terms -2",
     "hilbert --r -1",
     "hilbert --variant grassmannian --r -1",
@@ -216,6 +229,7 @@ def test_usage_error_exit_code(capsys):
     "rank --g 0 --r 1",
     "rank --g 2 --r 0",
     "rank --g 2 --r -1",
+    "rank --g 3 --r 2",
     "expand --kind f_angle --g -1",
     "expand --kind f_partial --p 4",
     "verify --suite delta --p 4",
@@ -382,10 +396,10 @@ _POLYS = {
     "int-constant": MultiPoly.constant(-7),
     "fraction-constant": MultiPoly.constant(Fraction(3, 4)),
     "int": Tvar(1, 1, 2) * Tvar(0, 1, 1) * 3 - Tvar(0, 1, 1) ** 2 + 5,
-    "fraction": Tvar(0, 1, 2, one=Fraction(-1, 3)) ** 3
-    + Tvar(2, 2, 2, one=Fraction(1)),
-    "padic": (Tvar(0, 1, 1, one=TruncatedPadic(3, 2, 1))
-              + Tvar(1, 1, 2, one=TruncatedPadic(3, 2, 1)) * 4) ** 2,
+    "fraction": (Tvar(0, 1, 2) * Fraction(-1, 3)) ** 3
+    + Tvar(2, 2, 2) * Fraction(1),
+    "padic": (Tvar(0, 1, 1) * TruncatedPadic(3, 2, 1)
+              + Tvar(1, 1, 2) * TruncatedPadic(3, 2, 1) * 4) ** 2,
     "every-name": (Tvar(0, 1, 2) + _var("Q", 1, 2, 3) * _var("X", 0, 3, 1)
                    + uvar(2) * vvar(0) ** 3 + zvar(1, 0) * zvar(1, 2)
                    + _var("w", 1, 2, 0)) ** 2,

@@ -60,6 +60,11 @@ def test_conj_act_identity():
     assert conj_act(eye, [M]) == [M]
 
 
+def test_conj_act_rejects_a_singular_matrix():
+    with pytest.raises(ZeroDivisionError):
+        conj_act([[1, 2], [2, 4]], [[[1, 0], [0, 1]]])
+
+
 def test_conj_act_preserves_charpoly():
     rng = random.Random(31)
     for g in (2, 3):

@@ -30,32 +30,24 @@ def z(i, level=0):
 
 # ---------------------------------------------------------------- weights
 
-def test_weight_deg_ord():
-    assert Weight([-1, 1]).deg() == 0          # phi - 1
-    assert Weight([0, 0, 1]).ord() == 2        # phi^2
-    for r in (1, 2, 5):
-        w = Weight([-1] + [0] * (r - 1) + [-1])
-        assert w.deg() == -2
-    assert Weight([]).deg() == 0 and Weight([]).ord() == 0
-
-
 def test_weight_ring_ops():
     phi = Weight([0, 1])
     assert phi + Weight([3]) == Weight([3, 1])
-    assert phi * phi == Weight([0, 0, 1])
-    assert (phi + Weight([2])) * phi == Weight([0, 2, 1])
     assert Weight([0, 1, 0]) == phi            # trailing zeros normalized
 
 
-def test_weight_partial_order():
-    assert Weight([1, 2]).is_nonnegative()
-    assert not Weight([-1, 1]).is_nonnegative()
-    assert Weight([1, 0]) <= Weight([1, 2])
-    assert not (Weight([2]) <= Weight([1, 5]))
-
-
-def test_weight_serialization():
-    assert Weight([1, 0, 2]).serialize() == "[1,0,2]"
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_weight_of_product_is_sum_of_weights(p):
+    factors = [z(0), z(1), delta_bracket(z(0), z(1), p),
+               frobenius_lift(z(0), p)]
+    for f in factors:
+        for g in factors:
+            assert homogeneous_weight(f * g, p) == \
+                homogeneous_weight(f, p) + homogeneous_weight(g, p)
+    bracket = delta_bracket(z(0), z(1), p)
+    assert homogeneous_weight(z(0) * bracket, p) == Weight([p + 1, 1])
+    assert homogeneous_weight(bracket * bracket, p) == Weight([2 * p, 2])
+    assert homogeneous_weight(frobenius_lift(z(0), p), p) == Weight([0, 1])
 
 
 # ---------------------------------------------------------------- delta, phi
@@ -67,8 +59,8 @@ def test_delta_of_variable_is_prime():
 
 def test_delta_of_constants():
     for p in (2, 3):
-        assert canonical_delta(MultiPoly.constant(0), p).is_zero()
-        assert canonical_delta(MultiPoly.constant(1), p).is_zero()
+        assert not canonical_delta(MultiPoly.constant(0), p)
+        assert not canonical_delta(MultiPoly.constant(1), p)
         # Fermat quotient of an integer constant
         c = MultiPoly.constant(2)
         expect = Fraction(2 - 2 ** p, p)
@@ -165,7 +157,7 @@ def test_bracket_of_coordinates():
 def test_bracket_diagonal_vanishes():
     b = z(0) * 2 + z(1)
     for p in (2, 3):
-        assert delta_bracket(b, b, p).is_zero()
+        assert not delta_bracket(b, b, p)
 
 
 def test_bracket_scaled_variable():
@@ -195,6 +187,20 @@ def test_prime_variable_decomposes_in_two_weights():
         assert comps[wp] == phi_coordinate(0, 0) ** p * Fraction(-1, p)
         # neither component is integral, so z' is not delta-homogeneous
         assert homogeneous_weight(z(0, 1), p) is None
+
+
+@pytest.mark.parametrize("f", [MultiPoly({}), zvar(0, 0) * Fraction(1, 2)],
+                         ids=["zero", "non-integral"])
+def test_no_weight_for_zero_or_non_integral(f):
+    for p in (2, 3):
+        assert homogeneous_weight(f, p) is None
+
+
+def test_coordinate_changes_reject_the_other_family():
+    with pytest.raises(ValueError, match="level-coordinate"):
+        delta_homog_decompose(MultiPoly.var(VarId("T", 0, 1, 1)), 2)
+    with pytest.raises(ValueError, match="Frobenius-iterate"):
+        phi_to_levels(zvar(0, 0), 2)
 
 
 def test_plain_variable_is_weight_one():

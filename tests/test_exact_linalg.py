@@ -29,6 +29,11 @@ def _matvec(rows, v, q=None):
 
 # ---------------------------------------------------------------- kernels
 
+def test_sparse_rows_need_a_column_count():
+    with pytest.raises(ValueError, match="ncols"):
+        ExactMatrix([{0: 1}])
+
+
 def test_kernel_of_identity_is_empty():
     for n in (1, 2, 5):
         A = ExactMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])

@@ -248,6 +248,10 @@ def test_theta_count():
         assert len(theta_multidegrees(g, r)) == comb(g + r, r)
 
 
+def test_sl_annihilates_detects_a_non_invariant():
+    assert not sl_annihilates(Tvar(0, 1, 1), 2)
+
+
 def test_theta_is_invariant():
     rng = random.Random(99)
     for g, r in ((2, 1), (3, 1)):
@@ -322,6 +326,21 @@ def test_theta_beyond_six_rows_is_a_det_coefficient():
     assert theta(g, (6, 1)).evaluate(point) == int(expect)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: theta(2, (1, 0)), "sum to the matrix size"),
+    (lambda: upsilon(2, (0, 1)), "need 3 levels"),
+    (lambda: jmath(Tvar(0, 3, 3)), "defined for size 2"),
+    (lambda: relation_check("cyclic"), "needs a split"),
+    (lambda: relation_check("no-such-kind"), "unknown relation kind"),
+    (lambda: binary_discriminant([5]), "degree at least 1"),
+    (lambda: b0_count(4, 101), "sizes 2 and 3"),
+], ids=["theta-sum", "upsilon-count", "jmath-size-3", "cyclic-no-split",
+        "relation-kind", "discriminant-degree-0", "b0-size-4"])
+def test_rejects_invalid_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_theta_rejects_negative_parts():
     with pytest.raises(ValueError, match=r"\(3, -1\)"):
         theta(2, (3, -1))
@@ -371,7 +390,7 @@ def test_upsilon_g2_against_sympy():
 def test_jmath_kills_det():
     for l in (0, 1, 3):
         det = T(l, 1, 1) * T(l, 2, 2) - T(l, 1, 2) ** 2
-        assert jmath(det).is_zero()
+        assert not jmath(det)
 
 
 def test_jmath_on_entries():
@@ -406,7 +425,7 @@ def _xi_cycles():
 def test_xi_lift_is_a_multilinear_integer_preimage(cycle):
     lift = xi_lift(cycle)
     assert jmath(lift) == xi_target(cycle)
-    assert lift.is_zero() == (len(cycle) == 1)
+    assert (not lift) == (len(cycle) == 1)
     for key, coeff in lift.terms.items():
         assert sorted(v.level for v, _ in key) == sorted(cycle)
         assert all(v.family == "T" and e == 1 for v, e in key)
@@ -763,6 +782,12 @@ def test_tact_invariant_values():
 def test_tact_invariant_theta_degree():
     # degree 2g-2 in the thetas means T-degree g(2g-2)
     assert tact_invariant(2).degree() == 2 * (2 * 2 - 2)
+
+
+def test_separating_polynomial_at_two_has_the_extra_theta_factor():
+    F0 = separating_F0(2, 2)
+    assert F0 == separating_F0(2, 3) * theta(2, (1, 1))
+    assert sl_annihilates(F0, 2)
 
 
 def test_separating_polynomial():

@@ -56,7 +56,7 @@ def test_psi_has_no_constant_term():
     for i in range(1, 3):
         for j in range(i, 3):
             entry = S[i - 1][j - 1]
-            assert homogeneous_component(entry, 0).is_zero()
+            assert not homogeneous_component(entry, 0)
 
 
 def test_psi_linear_part_is_difference():
@@ -66,7 +66,7 @@ def test_psi_linear_part_is_difference():
             for j in range(i, 3):
                 lin = homogeneous_component(S[i - 1][j - 1], 1)
                 expect = reduce_rational_poly(
-                    Tvar(1, i, j, one=Fraction(1)) - Tvar(0, i, j, one=Fraction(1)),
+                    (Tvar(1, i, j) - Tvar(0, i, j)) * Fraction(1),
                     p, 2)
                 assert lin == expect
 
@@ -190,7 +190,7 @@ def test_twisted_linear_part():
             for j in range(i, 3):
                 lin = homogeneous_component(S[i - 1][j - 1], 1)
                 expect = reduce_rational_poly(
-                    (Tvar(2, i, j, one=Fraction(1)) - Tvar(1, i, j, one=Fraction(1))) * p,
+                    (Tvar(2, i, j) - Tvar(1, i, j)) * Fraction(p),
                     p, 2)
                 assert lin == expect
 
@@ -306,7 +306,7 @@ def test_diamond_congruence_stability():
                 for b in range(1, 3):
                     e = lam[i - 1][a - 1] * lam[j - 1][b - 1]
                     if e:
-                        t = Tvar(0, min(a, b), max(a, b), one=Fraction(1))
+                        t = Tvar(0, min(a, b), max(a, b)) * Fraction(1)
                         acc = (acc * (one + t) ** e).truncate(D)
             level0[(i, j)] = acc - one
     sub = {}
@@ -317,11 +317,24 @@ def test_diamond_congruence_stability():
     assert substitute(out, sub, D) == out
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: expansion_basic("f_unknown", 1, 2, 3, 2, 3), "unknown expansion"),
+    (lambda: diamond_realize(Tvar(1, 1, 1), 1, 2, 3, 2, 3), "slot 1 needs r"),
+    (lambda: diamond_realize(Tvar(0, 1, 3), 1, 2, 3, 2, 3), "outside g = 2"),
+    (lambda: diamond_realize(Tvar(0, 1, 1), 1, 2, 3, 2, -1), "nonnegative"),
+    (lambda: _log_series(0, 3, 4), "twist level"),
+], ids=["expansion-kind", "diamond-slot", "diamond-entry", "diamond-degree",
+        "log-series-level"])
+def test_rejects_invalid_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_spade_scalar_log():
     # slot-0 projection for g = 1 becomes the truncated log series
-    F = Tvar(0, 1, 1, one=Fraction(1))
+    F = Tvar(0, 1, 1) * Fraction(1)
     out = spade(F, 5)
-    t = Tvar(0, 1, 1, one=Fraction(1))
+    t = Tvar(0, 1, 1) * Fraction(1)
     expect = MultiPoly.constant(Fraction(0))
     for n in range(1, 6):
         expect = expect + t ** n * Fraction((-1) ** (n + 1), n)
@@ -333,7 +346,7 @@ def test_spade_det_matches_log_entries():
     ell = {}
     for i in range(1, 3):
         for j in range(i, 3):
-            t = Tvar(0, i, j, one=Fraction(1))
+            t = Tvar(0, i, j) * Fraction(1)
             s = MultiPoly.constant(Fraction(0))
             for n in range(1, 5):
                 s = s + t ** n * Fraction((-1) ** (n + 1), n)
@@ -346,6 +359,8 @@ def test_initial_form_identity():
     for F in (detT(), theta11()):
         assert initial_form_identity_check(F, 4)
     assert initial_form_identity_check(MultiPoly.constant(Fraction(3)), 4)
+    T = Tvar(0, 1, 1)
+    assert not initial_form_identity_check(T + T * T, 2)   # not homogeneous
 
 
 # ---------------------------------------------------------------- cyclic words
@@ -425,7 +440,7 @@ def test_cyclic_expansion_agrees_with_one_word_mod_p():
             cY = y_invariant(j, levels, 2)
             for p in (2, 3, 5):
                 cF = _cyclic_expansion_coeff(levels, j, 2, p)
-                assert (cF - cY).map_coeffs(lambda c: c % p).is_zero()
-                nonzero = not cF.map_coeffs(lambda c: c % p).is_zero()
+                assert not (cF - cY).map_coeffs(lambda c: c % p)
+                nonzero = bool(cF.map_coeffs(lambda c: c % p))
                 out = cyclic_word_check(levels, j, 2, p)
                 assert out["equal"] and out["nonzero"] == nonzero
