@@ -225,13 +225,14 @@ def _cmd_rank(args):
     rng = random.Random(args.seed)
     if args.r == 1:
         polys = [theta(args.g, m) for m in theta_multidegrees(args.g, 1)]
-        expected = args.g + 1
     elif args.g == 2:
         polys = [theta(2, m) for m in theta_multidegrees(2, args.r)
                  if sum(1 for c in m[2:] if c) <= 1]
-        expected = 3 * args.r
     else:
         raise ValueError("rank families available for r = 1 or g = 2")
+    # for r >= 1 a generic tuple has a finite stabiliser in SL_g, so the
+    # invariants have transcendence degree dim V - dim SL_g
+    expected = (args.r + 1) * args.g * (args.g + 1) // 2 - (args.g ** 2 - 1)
     point = {v: rng.randrange(1, field)
              for v in sorted({v for f in polys for v in f.variables()})}
     rank = jacobian_rank(polys, point, field=field)

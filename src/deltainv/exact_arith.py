@@ -46,12 +46,6 @@ class TruncatedPadic:
             return rational_reduce(other, self.p, self.N)
         return NotImplemented
 
-    def lower(self, N: int) -> "TruncatedPadic":
-        """Forget digits: reduce to precision ``N <= self.N``."""
-        if N > self.N:
-            raise PrecisionMismatch("cannot raise precision")
-        return TruncatedPadic(self.p, N, self.residue)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -153,10 +147,6 @@ def rational_reduce(value, p: int, N: int) -> TruncatedPadic:
     """
     if N < 1:
         raise ValueError(f"precision must be at least 1, got {N}")
-    if isinstance(value, TruncatedPadic):
-        if value.p != p or value.N < N:
-            raise PrecisionMismatch("incompatible residue input")
-        return value.lower(N)
     value = Fraction(value)
     if value.denominator % p == 0:
         raise NegativeValuation(

@@ -5,14 +5,15 @@ once, when the matrix is built: over Q it becomes a primitive integer row,
 over F_p each entry n/d (an int or a Fraction) becomes n * d^(-1) mod p.
 Elimination is fraction-free and runs one row update, row <- mp * row -
 mf * prow, reduced mod p over F_p and divided by its content over Q.
-Pivots are chosen by a Markowitz-style count to limit fill-in, which keeps
-the large structured kernels computed elsewhere in the library tractable.
+Columns are taken in one order fixed before elimination, sparsest first,
+and each pivots on the shortest row with an entry there, to limit fill-in.
 Over Q every kernel vector is a primitive integer vector whose first nonzero
 entry is positive.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -58,37 +59,29 @@ class ExactMatrix:
 
 
 def _eliminate(matrix: ExactMatrix):
-    """Sparse Gaussian elimination.
+    """Sparse fraction-free elimination in one column order, fixed up front:
+    columns by how many rows have an entry there, then by index.  Each column
+    pivots on the shortest remaining row with an entry in it; a column with
+    no such row is skipped.
 
-    Returns (pivots, rows) where pivots is the list of (column, row_index)
-    in selection order and rows maps row_index to its final sparse content.
+    Returns (columns, rows): the pivot columns in elimination order, and the
+    final sparse content of each one's pivot row.
     """
     field = matrix.field
-    rows = {i: dict(r) for i, r in enumerate(matrix.rows)}
-
-    # column -> set of active row indices with a nonzero entry there
-    col_rows: dict = {}
-    for i, row in rows.items():
-        for j in row:
-            col_rows.setdefault(j, set()).add(i)
-
-    def drop(i, j):
-        s = col_rows[j]
-        s.discard(i)
-        if not s:
-            del col_rows[j]
-
-    pivots = []
-    while col_rows:
-        # Markowitz pivot: sparsest column, then sparsest row in it
-        pc = min(col_rows, key=lambda j: (len(col_rows[j]), j))
-        pr = min(col_rows[pc], key=lambda i: len(rows[i]))
-        pivots.append((pc, pr))
-        prow = rows[pr]
+    rows = dict(enumerate(dict(row) for row in matrix.rows))
+    count = Counter(j for row in rows.values() for j in row)
+    columns, pivot_rows = [], []
+    for pc in sorted(count, key=lambda j: (count[j], j)):
+        live = [i for i, row in rows.items() if pc in row]
+        if not live:
+            continue
+        pr = min(live, key=lambda i: len(rows[i]))
+        live.remove(pr)
+        prow = rows.pop(pr)
+        columns.append(pc)
+        pivot_rows.append(prow)
         pval = prow[pc]
-        for j in prow:
-            drop(pr, j)
-        for i in list(col_rows.get(pc, ())):
+        for i in live:
             row = rows[i]
             if field is None:
                 g = gcd(pval, row[pc])
@@ -103,38 +96,32 @@ def _eliminate(matrix: ExactMatrix):
                 if field is not None:
                     nv %= field
                 if nv:
-                    if j not in row:
-                        col_rows.setdefault(j, set()).add(i)
                     row[j] = nv
-                elif j in row:
-                    del row[j]
-                    drop(i, j)
-            if field is None:
+                else:
+                    row.pop(j, None)
+            if not row:
+                del rows[i]
+            elif field is None:
                 g = gcd(*row.values())
                 if g > 1:
                     for j in row:
                         row[j] //= g
-    return pivots, rows
+    return columns, pivot_rows
 
 
 def rank(matrix: ExactMatrix) -> int:
-    pivots, _ = _eliminate(matrix)
-    return len(pivots)
+    return len(_eliminate(matrix)[0])
 
 
 def kernel_basis(matrix: ExactMatrix):
     """Basis of the right kernel, one vector per free column: primitive
     integer vectors over Q, residues over F_p."""
-    pivots, rows = _eliminate(matrix)
+    columns, pivot_rows = _eliminate(matrix)
     field = matrix.field
-    pivot_cols = {pc for pc, _ in pivots}
     basis = []
-    for fc in range(matrix.ncols):
-        if fc in pivot_cols:
-            continue
+    for fc in sorted(set(range(matrix.ncols)) - set(columns)):
         x = {fc: 1}
-        for pc, pr in reversed(pivots):
-            row = rows[pr]
+        for pc, row in zip(reversed(columns), reversed(pivot_rows)):
             acc = sum(v * x[j] for j, v in row.items() if j != pc and j in x)
             if acc:
                 x[pc] = Fraction(-acc, row[pc]) if field is None else \

@@ -214,7 +214,7 @@ def test_frobenius_is_identity_on_zp():
     for p in (2, 3, 5):
         for _ in range(10):
             a = tp(p, 4, rng.randrange(p ** 4))
-            a3 = a.lower(3)
+            a3 = tp(p, 3, a.residue)
             assert a3 ** p + fermat_quotient(a) * p == a3
 
 
@@ -225,7 +225,7 @@ def test_delta_axioms_on_residues():
             a = tp(p, 4, rng.randrange(p ** 4))
             b = tp(p, 4, rng.randrange(p ** 4))
             da, db = fermat_quotient(a), fermat_quotient(b)
-            a3, b3 = a.lower(3), b.lower(3)
+            a3, b3 = tp(p, 3, a.residue), tp(p, 3, b.residue)
             # additive axiom
             assert fermat_quotient(a + b) == da + db + cp_value(a3, b3)
             # multiplicative axiom

@@ -1,12 +1,14 @@
 """Tests for exact rational / prime-field linear algebra.
 
 Oracles: hand row reduction, determinant products for
-Vandermonde matrices, sympy's rank over Q and over GF(101).
+Vandermonde matrices, sympy's rank over Q and over GF(101), and sympy
+on the matrices that ``rank`` and ``relations --kind plucker`` build.
 """
 
+import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -14,9 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from deltainv.conj_invariants import jacobian_rank
+from deltainv.cli import main
+from deltainv.conj_invariants import jacobian_rank, jacobian_rows
 from deltainv.exact_linalg import ExactMatrix, kernel_basis, rank
 from deltainv.multipoly import MultiPoly, VarId
+from deltainv.quad_invariants import _pluecker_products, theta, \
+    theta_multidegrees, xi_target
 
 
 def _matvec(rows, v, q=None):
@@ -194,3 +199,47 @@ def test_kernel_vectors_annihilate_the_matrix(rows, field):
     assert len(basis) == A.ncols - rank(A)
     for v in basis:
         assert _matvec(rows, v, field) == [0] * len(rows)
+    if basis:
+        assert rank(ExactMatrix(basis, field=field)) == len(basis)
+
+
+# ---------------------------------------------------------------- workload
+
+
+def _rank_jacobian(g, r, seed):
+    """The Jacobian rows of the family and seeded point that
+    ``delta-inv rank --g g --r r --seed seed`` builds."""
+    field = (1 << 31) - 1
+    rng = random.Random(seed)
+    if r == 1:
+        polys = [theta(g, m) for m in theta_multidegrees(g, 1)]
+    else:
+        polys = [theta(2, m) for m in theta_multidegrees(2, r)
+                 if sum(1 for c in m[2:] if c) <= 1]
+    point = {v: rng.randrange(1, field)
+             for v in sorted({v for f in polys for v in f.variables()})}
+    return jacobian_rows(polys, point), field
+
+
+@pytest.mark.parametrize("g,r,seed", [(4, 1, 11), (5, 1, 11)]
+                         + [(2, r, 12) for r in (3, 4, 5, 6, 8)])
+def test_rank_jacobians_against_sympy(capsys, g, r, seed):
+    rows, field = _rank_jacobian(g, r, seed)
+    F = sympy.GF(field)
+    oracle = DomainMatrix([[F(v) for v in row] for row in rows],
+                          (len(rows), len(rows[0])), F).rank()
+    assert rank(ExactMatrix(rows, field=field)) == oracle
+    main(["rank", "--g", str(g), "--r", str(r), "--seed", str(seed)])
+    assert json.loads(capsys.readouterr().out)["rank"] == oracle
+
+
+def test_plucker_kernel_against_sympy():
+    images = [prod(map(xi_target, pairs), start=MultiPoly.constant(1))
+              for pairs in _pluecker_products((0, 1, 2, 3))]
+    keys = sorted({k for f in images for k in f.terms})
+    rows = [[f.terms.get(k, 0) for f in images] for k in keys]
+    assert (len(rows), len(rows[0])) == (85, 6)
+    basis = kernel_basis(ExactMatrix(rows))
+    oracle = sympy.Matrix(rows).nullspace()
+    assert len(basis) == len(oracle) == 1
+    assert sympy.Matrix([basis[0], list(oracle[0])]).rank() == 1
