@@ -7,22 +7,9 @@ Numeric and symbolic constructions share the cofactor kernels of
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exact_linalg import ExactMatrix, rank
-from .multipoly import MultiPoly, _det_rows, _mat_mul, _order, adjugate, \
+from .exact_linalg import ExactMatrix, inverse, rank
+from .multipoly import MultiPoly, _det_rows, _mat_mul, _order, \
     alternating_product, charpoly_coeff, generic_sym_matrix, wedge_power
-
-
-# ---------------------------------------------------------------------------
-# numeric matrix helpers (lists of scalars)
-# ---------------------------------------------------------------------------
-
-def _num_inverse(M):
-    det = _det_rows(M)
-    if det == 0:
-        raise ZeroDivisionError("matrix is singular")
-    return [[Fraction(x, 1) / det for x in row] for row in adjugate(M)]
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +19,7 @@ def _num_inverse(M):
 def conj_act(L, mats):
     """Apply M -> L M L^(-1) to each matrix in the tuple."""
     _order(L, *mats)
-    Linv = _num_inverse(L)
+    Linv = inverse(L)
     return [_mat_mul(_mat_mul(L, M), Linv) for M in mats]
 
 

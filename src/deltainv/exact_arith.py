@@ -143,10 +143,12 @@ def rational_reduce(value, p: int, N: int) -> TruncatedPadic:
     """Reduce an integer or Fraction modulo ``p**N``.
 
     Raises :class:`NegativeValuation` if the denominator is divisible by p,
-    and ``ValueError`` if N is below 1.
+    and ``ValueError`` if N is below 1 or the value is not rational.
     """
     if N < 1:
         raise ValueError(f"precision must be at least 1, got {N}")
+    if not isinstance(value, (int, Fraction)):
+        raise ValueError(f"only an integer or Fraction reduces, got {value!r}")
     value = Fraction(value)
     if value.denominator % p == 0:
         raise NegativeValuation(

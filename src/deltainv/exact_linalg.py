@@ -8,7 +8,8 @@ mf * prow, reduced mod p over F_p and divided by its content over Q.
 Columns are taken in one order fixed before elimination, sparsest first,
 and each pivots on the shortest row with an entry there, to limit fill-in.
 Over Q every kernel vector is a primitive integer vector whose first nonzero
-entry is positive.
+entry is positive.  ``inverse`` inverts a small dense matrix by Gauss-Jordan
+elimination on [M | 1].
 """
 
 from __future__ import annotations
@@ -81,13 +82,14 @@ def _eliminate(matrix: ExactMatrix):
         columns.append(pc)
         pivot_rows.append(prow)
         pval = prow[pc]
+        pinv = None if field is None else pow(pval, -1, field)
         for i in live:
             row = rows[i]
             if field is None:
                 g = gcd(pval, row[pc])
                 mp, mf = pval // g, row[pc] // g
             else:
-                mp, mf = 1, row[pc] * pow(pval, -1, field)
+                mp, mf = 1, row[pc] * pinv % field
             if mp != 1:
                 for j in row:
                     row[j] *= mp
@@ -107,6 +109,27 @@ def _eliminate(matrix: ExactMatrix):
                     for j in row:
                         row[j] //= g
     return columns, pivot_rows
+
+
+def inverse(M, field: int | None = None):
+    """The inverse of the square matrix M (rows of ints or Fractions), by
+    Gauss-Jordan elimination on [M | 1]: Fractions over Q, residues over F_p.
+    Raises ``ZeroDivisionError`` when M is singular."""
+    n = len(M)
+    red = (lambda v: v) if field is None else (lambda v: v % field)
+    rows = [[Fraction(v) if field is None else _residue(v, field) for v in row]
+            + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    for c in range(n):
+        pr = next((i for i in range(c, n) if rows[i][c]), None)
+        if pr is None:
+            raise ZeroDivisionError("matrix is singular")
+        inv = 1 / rows[pr][c] if field is None else pow(rows[pr][c], -1, field)
+        pivot = [red(v * inv) for v in rows[pr]]
+        rows[pr] = rows[c]
+        rows = [pivot if i == c else row if not row[c] else
+                [red(a - row[c] * b) for a, b in zip(row, pivot)]
+                for i, row in enumerate(rows)]
+    return [row[n:] for row in rows]
 
 
 def rank(matrix: ExactMatrix) -> int:

@@ -19,7 +19,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, log, prod
 
 from .exact_arith import require_prime
 from .exact_linalg import ExactMatrix, kernel_basis
@@ -42,6 +42,11 @@ class BadLevels(ValueError):
 
 # products in the Leibniz sum of one theta, g! * multinomial(g; mdeg)
 THETA_BUDGET = 10 ** 6
+# steps of the weight-count DP behind one dimension, estimated as
+# g (2s + g)^g (remaining weights times counts per weight): about 10 s at
+# the budget.  At g = 2, where all counts but the first are forced, it
+# overcounts and refuses s >= 5000.
+DIMS_BUDGET = 2 * 10 ** 8
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +126,11 @@ def invariant_dimension(g: int, r: int, s) -> int:
         raise ValueError(f"total degree {g * s} is not an integer")
     if (2 * s).denominator != 1:
         return 0
+    lam = int(2 * s)
+    if log(g) + g * log(lam + g) > log(DIMS_BUDGET):
+        raise SizeTooLarge(f"the dimension at g = {g}, s = {s} needs about "
+                           f"g (2s + g)^g DP steps, over the budget "
+                           f"{DIMS_BUDGET}")
     pairs = [(i, j) for i in range(g) for j in range(i, g)]
 
     @functools.cache
@@ -146,7 +156,7 @@ def invariant_dimension(g: int, r: int, s) -> int:
             total += comb(n + r, r) * monomials(k + 1, tuple(left))
         return total
 
-    return _weyl_sum(g, int(2 * s), functools.partial(monomials, 0))
+    return _weyl_sum(g, lam, functools.partial(monomials, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +215,23 @@ def theta(g: int, mdeg) -> MultiPoly:
 
 
 def upsilon(g: int, levels) -> MultiPoly:
-    """Determinant of the matrix of entry-columns at the given levels."""
+    """Determinant of the matrix of entry-columns at the given levels: its
+    entries are distinct variables, so each of the n! permutations of its
+    n = g(g+1)/2 rows gives its own monomial; n! above ``THETA_BUDGET`` is
+    refused."""
     levels = tuple(levels)
     n = g * (g + 1) // 2
     if len(set(levels)) != len(levels):
         raise BadLevels(f"levels must be distinct, got {levels}")
     if len(levels) != n:
         raise BadLevels(f"need {n} levels for size {g}, got {len(levels)}")
-    pairs = [(i, j) for i in range(1, g + 1) for j in range(i, g + 1)]
-    return _det_rows([[MultiPoly.var(VarId("T", q, i, j)) for q in levels]
-                      for (i, j) in pairs])
+    if factorial(n) > THETA_BUDGET:
+        raise SizeTooLarge(f"upsilon of size {g} needs {factorial(n)} "
+                           f"products, over the budget {THETA_BUDGET}")
+    var = [[VarId("T", q, i, j) for q in levels]
+           for i in range(1, g + 1) for j in range(i, g + 1)]
+    return MultiPoly({tuple(sorted((var[k][c], 1) for k, c in enumerate(w))):
+                      sign for sign, w in _signed_permutations(n)})
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -14,9 +16,11 @@ from hypothesis import strategies as st
 
 from deltainv import cli
 from deltainv.cli import _document, main
+from deltainv.conj_invariants import jacobian_rank, jacobian_rows
 from deltainv.exact_arith import TruncatedPadic
-from deltainv.multipoly import MultiPoly, Tvar, VarId, uvar, var_name, \
-    vvar, zvar
+from deltainv.multipoly import MultiPoly, Tvar, VarId, _det_rows, uvar, \
+    var_name, vvar, zvar
+from deltainv.quad_invariants import theta, theta_multidegrees
 from deltainv.serre_tate import expansion_basic
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -121,39 +125,122 @@ def test_seed_comes_from_the_flag_alone(capsys, monkeypatch):
     assert out_default == out_zero
 
 
-_CAPTURE_RANK_POINT = """
+_CAPTURE_RANK_ROWS = """
 import contextlib, io, json
 from deltainv import cli
-from deltainv.multipoly import var_name
 
-points = []
+matrices = []
 
 
-def capture(polys, point, field=None):
-    points.append(point)
+def capture(matrix):
+    matrices.append(matrix)
     return 0
 
 
-cli.jacobian_rank = capture
+cli.rank = capture
 with contextlib.redirect_stdout(io.StringIO()):
     cli.main(["rank", "--g", "2", "--r", "2", "--seed", "0"])
-print(json.dumps([[var_name(v), x] for v, x in points[0].items()]))
+matrix = matrices[0]
+print(json.dumps({"ncols": matrix.ncols,
+                  "rows": [sorted(row.items()) for row in matrix.rows]}))
 """
 
 
 def test_rank_point_is_independent_of_hash_seed():
+    # the gradient rows are a function of the drawn tuple and points alone
     src = str(Path(cli.__file__).resolve().parent.parent)
-    points = []
+    drawn = []
     for hash_seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", _CAPTURE_RANK_POINT],
+        run = subprocess.run([sys.executable, "-c", _CAPTURE_RANK_ROWS],
                              env=env, capture_output=True, text=True,
                              check=True)
-        points.append(json.loads(run.stdout))
-    assert points[0] == points[1]
-    assert len(points[0]) == 9           # T^(0..2) entries of a 2x2 matrix
+        drawn.append(json.loads(run.stdout))
+    assert drawn[0] == drawn[1]
+    assert drawn[0]["ncols"] == 9        # T^(0..2) entries of a 2x2 matrix
+    assert len(drawn[0]["rows"]) == 6    # one row per point, rank 6 expected
+
+
+def _rank_doc(capsys, g, r, seed=0):
+    code, out = run_cli(capsys, "rank", "--g", str(g), "--r", str(r),
+                        "--seed", str(seed))
+    assert code == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("g,r,expected", [(3, 2, 10), (6, 2, 28), (8, 1, 9)])
+def test_rank_beyond_one_level_pair(capsys, g, r, expected):
+    # g > 2 with r > 1, and r = 1 beyond the symbolic theta budget
+    doc = _rank_doc(capsys, g, r)
+    assert doc["rank"] == doc["expected"] == expected
+
+
+@pytest.mark.parametrize("r", [1, 2, 5])
+def test_rank_of_one_by_one_matrices(capsys, r):
+    # the r + 1 entries are their own invariants
+    doc = _rank_doc(capsys, 1, r)
+    assert doc["rank"] == doc["expected"] == r + 1
+
+
+def test_rank_reaches_the_formula_up_to_g_10(capsys):
+    for g in range(1, 11):
+        for r in (1, 2, 3):
+            doc = _rank_doc(capsys, g, r)
+            assert doc["expected"] == (r + 1) * g * (g + 1) // 2 - g * g + 1
+            assert doc["rank"] == doc["expected"], (g, r)
+
+
+def test_rank_seed_sweep_never_exceeds_the_formula(capsys):
+    for g, r in ((2, 3), (3, 2), (4, 1)):
+        ranks = [_rank_doc(capsys, g, r, seed) for seed in range(20)]
+        assert all(doc["rank"] <= doc["expected"] for doc in ranks)
+        assert all(doc["rank"] == doc["expected"] for doc in ranks)
+
+
+@pytest.mark.parametrize("g,r", [(g, r) for g in range(1, 6)
+                                 for r in range(1, 4)])
+def test_rank_matches_the_symbolic_theta_jacobian(capsys, g, r):
+    field = (1 << 31) - 1
+    rng = random.Random(100 * g + r)
+    point = {VarId("T", l, i, j): rng.randrange(field) for l in range(r + 1)
+             for i in range(1, g + 1) for j in range(i, g + 1)}
+    polys = [theta(g, m) for m in theta_multidegrees(g, r)]
+    assert _rank_doc(capsys, g, r)["rank"] \
+        == jacobian_rank(polys, point, field=field)
+
+
+@pytest.mark.parametrize("g,r", [(1, 2), (2, 1), (2, 3), (3, 2), (4, 1)])
+def test_gradient_rows_combine_theta_gradients(g, r):
+    # det(sum_l y_l T^(l)) = sum_m theta_m(T) y^m, so det M(y) times the
+    # row at y is sum_m y^m grad theta_m(T)
+    field = (1 << 31) - 1
+    rng = random.Random(7 * g + r)
+    upper = [{(i, j): rng.randrange(field) for i in range(g)
+              for j in range(i, g)} for _ in range(r + 1)]
+    mats = [[[T[min(i, j), max(i, j)] for j in range(g)] for i in range(g)]
+            for T in upper]
+    point = {VarId("T", l, i + 1, j + 1): v for l, T in enumerate(upper)
+             for (i, j), v in T.items()}
+    mdegs = theta_multidegrees(g, r)
+    jac = jacobian_rows([theta(g, m) for m in mdegs], point)
+    for _ in range(3):
+        y = [rng.randrange(field) for _ in range(r + 1)]
+        M = [[sum(yl * T[i][j] for yl, T in zip(y, mats)) for j in range(g)]
+             for i in range(g)]
+        weights = [prod(yl ** e for yl, e in zip(y, m)) for m in mdegs]
+        combined = [sum(w * row[k] for w, row in zip(weights, jac)) % field
+                    for k in range(len(point))]
+        row = cli._gradient_row(mats, y, field)
+        assert [_det_rows(M) * v % field for v in row] == combined
+
+
+def test_rank_refuses_work_over_the_budget(capsys):
+    assert main(["rank", "--g", "40", "--r", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rank at g = 40, r = 3 needs ")
+    assert f"over the budget {cli.RANK_BUDGET}" in err
 
 
 def test_expand_emits_entries(capsys):
@@ -223,13 +310,14 @@ def test_usage_error_exit_code(capsys):
     "dims --g 2 --r -1 --s 1",
     "dims --g 2 --r 1 --s -1",
     "dims --g 2 --r 1 --s 1/0",
+    "dims --g 2 --r 1 --s 1e400",
     "dims --g 2 --r 1 --s 1 --out /nonexistent/x.json",
     "theta --g 0 --multidegree 0",
     "diamond --g 0",
     "rank --g 0 --r 1",
     "rank --g 2 --r 0",
     "rank --g 2 --r -1",
-    "rank --g 3 --r 2",
+    "rank --g 40 --r 3",
     "expand --kind f_angle --g -1",
     "expand --kind f_partial --p 4",
     "verify --suite delta --p 4",

@@ -98,6 +98,11 @@ def test_rational_reduce_rejects_precision_below_one(N):
             rational_reduce(value, 3, N)
 
 
+def test_rational_reduce_rejects_a_non_rational_value():
+    with pytest.raises(ValueError, match=r"TruncatedPadic\(3, 2, 4\)"):
+        rational_reduce(TruncatedPadic(3, 2, 4), 3, 2)
+
+
 def test_rational_reduce_integer_input():
     assert rational_reduce(7, 2, 3).residue == 7
 

@@ -18,7 +18,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from deltainv.cli import main
 from deltainv.conj_invariants import jacobian_rank, jacobian_rows
-from deltainv.exact_linalg import ExactMatrix, kernel_basis, rank
+from deltainv.exact_linalg import ExactMatrix, inverse, kernel_basis, rank
 from deltainv.multipoly import MultiPoly, VarId
 from deltainv.quad_invariants import _pluecker_products, theta, \
     theta_multidegrees, xi_target
@@ -151,6 +151,42 @@ def test_rank_against_sympy(fractions):
 
 
 @pytest.mark.parametrize("fractions", [False, True])
+def test_inverse_against_sympy(fractions):
+    rng = random.Random(60 + fractions)
+    F = sympy.GF(101)
+    for n in (1, 2, 3, 4, 6, 8):
+        rows = [[Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                 if fractions else rng.randrange(-9, 10) for _ in range(n)]
+                for _ in range(n)]
+        M = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                           for v in row] for row in rows])
+        if M.det() == 0:
+            with pytest.raises(ZeroDivisionError):
+                inverse(rows)
+        else:
+            assert inverse(rows) == [[Fraction(int(v.p), int(v.q)) for v in row]
+                                     for row in M.inv().tolist()]
+        gf = DomainMatrix([[F(v.numerator) / F(v.denominator) for v in row]
+                           for row in rows], (n, n), F)
+        if gf.det() == 0:
+            with pytest.raises(ZeroDivisionError):
+                inverse(rows, field=101)
+        else:
+            assert inverse(rows, field=101) == [
+                [int(v) % 101 for v in row] for row in gf.inv().to_Matrix().tolist()]
+
+
+def test_inverse_of_a_singular_matrix():
+    with pytest.raises(ZeroDivisionError, match="singular"):
+        inverse([[1, 2], [2, 4]])
+    # nonsingular over Q, singular mod 7
+    with pytest.raises(ZeroDivisionError, match="singular"):
+        inverse([[1, 2], [3, 13]], field=7)
+    assert inverse([[1, 2], [3, 13]]) == [[Fraction(13, 7), Fraction(-2, 7)],
+                                          [Fraction(-3, 7), Fraction(1, 7)]]
+
+
+@pytest.mark.parametrize("fractions", [False, True])
 def test_rational_kernel_vectors_are_primitive_integers(fractions):
     rng = random.Random(31 + fractions)
     for _ in range(40):
@@ -207,8 +243,8 @@ def test_kernel_vectors_annihilate_the_matrix(rows, field):
 
 
 def _rank_jacobian(g, r, seed):
-    """The Jacobian rows of the family and seeded point that
-    ``delta-inv rank --g g --r r --seed seed`` builds."""
+    """The Jacobian rows of a theta family with rank g + 1 (r = 1) or
+    3r (g = 2), at a seeded point."""
     field = (1 << 31) - 1
     rng = random.Random(seed)
     if r == 1:

@@ -11,7 +11,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 import sympy
@@ -28,6 +28,7 @@ from deltainv.multipoly import (
     vvar,
 )
 from deltainv.quad_invariants import (
+    DIMS_BUDGET,
     THETA_BUDGET,
     BadLevels,
     _apply_derivation,
@@ -207,6 +208,14 @@ def test_dimension_half_integer_vanishes():
     assert invariant_dimension(2, 1, Fraction(1, 2)) == 0
 
 
+def test_dimension_refuses_a_weight_count_over_the_budget():
+    # 2 (2s + 2)^2 steps at g = 2: s = 4999 is the last one in the budget
+    assert invariant_dimension(2, 1, 4999) == comb(4999 + 2, 2)
+    for g, s in ((2, 5000), (2, 10 ** 400), (3, 300), (8, 1)):
+        with pytest.raises(SizeTooLarge, match=f"over the budget {DIMS_BUDGET}"):
+            invariant_dimension(g, 1, s)
+
+
 @pytest.mark.parametrize("g,r,s", [(0, 1, 1), (-1, 1, 1), (2, -1, 1),
                                    (2, 1, -1), (2, 1, Fraction(-1, 2))])
 def test_dimension_rejects_out_of_range_arguments(g, r, s):
@@ -362,6 +371,23 @@ def test_upsilon_rejects_repeats():
 
 def test_upsilon_g1():
     assert upsilon(1, (3,)) == T(3, 1, 1)
+
+
+@pytest.mark.parametrize("g,levels", [(2, (0, 1, 2)), (2, (4, 0, 2)),
+                                      (3, (0, 1, 2, 3, 4, 5)),
+                                      (3, (5, 2, 7, 0, 1, 3))])
+def test_upsilon_leibniz_sum_matches_cofactor_determinant(g, levels):
+    pairs = [(i, j) for i in range(1, g + 1) for j in range(i, g + 1)]
+    cofactor = _det_rows([[T(q, i, j) for q in levels] for i, j in pairs])
+    got = upsilon(g, levels)
+    assert got == cofactor
+    assert len(got.terms) == len(cofactor.terms) == prod(range(1, len(pairs) + 1))
+
+
+def test_upsilon_refuses_over_budget():
+    # g = 4 has 10 rows: 10! = 3628800 products
+    with pytest.raises(SizeTooLarge, match=f"3628800.*{THETA_BUDGET}"):
+        upsilon(4, tuple(range(10)))
 
 
 def test_upsilon_g2_against_sympy():
