@@ -14,16 +14,15 @@ bytes.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json.encoder
 import random
 import sys
 from fractions import Fraction
 
+from .conj_invariants import theta_rank
 from .delta_calculus import canonical_delta, delta_bracket
 from .exact_arith import require_prime
-from .exact_linalg import ExactMatrix, inverse, rank
-from .multipoly import MultiPoly, SizeTooLarge, Tvar, _det_rows, \
+from .multipoly import MultiPoly, Tvar, _det_rows, \
     generic_sym_matrix, homogeneous_component, var_name
 from .quad_invariants import (
     b0_count,
@@ -218,66 +217,14 @@ def _cmd_diamond(args):
     return doc
 
 
-# rows^2 * columns of the elimination behind one rank: about 3 s at the budget
-RANK_BUDGET = 10 ** 7
-
-
-def _gradient_row(mats, y, field):
-    """The gradient of det M, M = sum_l y_l T^(l), in the entries T^(l)_ij
-    (by l, then i <= j), over det M and mod ``field``: y_l c_ij (M^-1)_ij,
-    with c = 1 on the diagonal and 2 off it.  ``ZeroDivisionError`` when M
-    is singular."""
-    g = len(mats[0])
-    inv = inverse([[sum(yl * T[i][j] for yl, T in zip(y, mats)) % field
-                    for j in range(g)] for i in range(g)], field)
-    return [yl * (1 if i == j else 2) * inv[i][j] % field
-            for yl in y for i in range(g) for j in range(i, g)]
-
-
 def _cmd_rank(args):
-    g, r = args.g, args.r
-    for name, value in (("g", g), ("r", r)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-    # for r >= 1 a generic tuple has a finite stabiliser in SL_g, so the
-    # invariants have transcendence degree dim V - dim SL_g
-    n = g * (g + 1) // 2
-    expected = (r + 1) * n - (g * g - 1)
-    work = expected ** 2 * (r + 1) * n
-    if work > RANK_BUDGET:
-        raise SizeTooLarge(f"rank at g = {g}, r = {r} needs {work} steps "
-                           f"(rows^2 * columns), over the budget {RANK_BUDGET}")
-    field = (1 << 31) - 1
-    rng = random.Random(args.seed)
-    upper = [{(i, j): rng.randrange(field) for i in range(g)
-              for j in range(i, g)} for _ in range(r + 1)]
-    mats = [[[T[min(i, j), max(i, j)] for j in range(g)] for i in range(g)]
-            for T in upper]
-    # det(sum_l y_l T^(l)) = sum_m theta_m(T) y^m, so each gradient row is a
-    # combination of rows of the theta Jacobian: their rank is at most its
-    # rank, which is at most ``expected``.  g + 1 points on the levels 0, 1
-    # reach the pencil's g + 1; a generic pencil has a finite stabiliser, so
-    # n points on the levels 0, 1, l add n for each further level l, in
-    # sparse rows.
-    rows = []
-    for levels in [(0, 1)] * (g + 1) + [(0, 1, l) for l in range(2, r + 1)
-                                        for _ in range(n)]:
-        while True:
-            y = [rng.randrange(1, field) if l in levels else 0
-                 for l in range(r + 1)]
-            # a point where M(y) is singular mod p is drawn again
-            with contextlib.suppress(ZeroDivisionError):
-                rows.append(_gradient_row(mats, y, field))
-                break
-    return {"g": g, "r": r, "rank": rank(ExactMatrix(rows, field=field)),
-            "expected": expected, "field": field, "seed": args.seed}
+    return {"g": args.g, "r": args.r, **theta_rank(args.g, args.r, args.seed),
+            "seed": args.seed}
 
 
 def _cmd_b0(args):
-    result = b0_count(args.g, args.q, trials=args.trials, seed=args.seed)
-    return {"g": args.g, "q": args.q, "trials": args.trials,
-            "seed": args.seed,
-            "max_count": result["max_count"], "counts": result["counts"]}
+    return {"g": args.g, "q": args.q, "trials": args.trials, "seed": args.seed,
+            **b0_count(args.g, args.q, trials=args.trials, seed=args.seed)}
 
 
 # ---------------------------------------------------------------------------

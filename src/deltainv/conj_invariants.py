@@ -7,9 +7,17 @@ Numeric and symbolic constructions share the cofactor kernels of
 
 from __future__ import annotations
 
+import random
+from contextlib import suppress
+from math import factorial, perm
+
 from .exact_linalg import ExactMatrix, inverse, rank
-from .multipoly import MultiPoly, _det_rows, _mat_mul, _order, \
+from .multipoly import MultiPoly, SizeTooLarge, _det_rows, _mat_mul, _order, \
     alternating_product, charpoly_coeff, generic_sym_matrix, wedge_power
+from .quad_invariants import THETA_BUDGET
+
+# rows^2 * columns of one theta_rank elimination: about 3 s at the budget
+RANK_BUDGET = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +75,17 @@ def cyclic_matrix_product(levels, g: int):
 
 
 def y_invariant(j: int, levels, g: int) -> MultiPoly:
-    """j-th characteristic coefficient of the cyclic product."""
+    """j-th characteristic coefficient of the cyclic product.  An entry of
+    the product of n factors has at most t = g^(n-1) ((g-1)!)^(n//2) terms,
+    so the products take (n-1) g^2 t term products and the j x j minors
+    about g!/(g-j)! t^j; a sum over ``THETA_BUDGET`` is refused first."""
+    levels = tuple(levels)
+    n = len(levels)
+    terms = g ** (n - 1) * factorial(g - 1) ** (n // 2)
+    work = (n - 1) * g * g * terms + (perm(g, j) * terms ** j if j >= 0 else 0)
+    if work > THETA_BUDGET:
+        raise SizeTooLarge(f"c_{j} of {n} cyclic factors of size {g} needs "
+                           f"{work} products, over the budget {THETA_BUDGET}")
     return charpoly_coeff(cyclic_matrix_product(levels, g), j)
 
 
@@ -102,3 +120,54 @@ def jacobian_rank(polys, point: dict, field=None) -> int:
     """Rank of the Jacobian of the polynomial family at the given point,
     over Q or, when ``field`` is a prime p, over F_p."""
     return rank(ExactMatrix(jacobian_rows(polys, point), field=field))
+
+
+def _gradient_row(mats, y: dict, field: int) -> dict:
+    """The gradient of det M, M = sum_l y_l T^(l) over the levels l of the
+    dict ``y``, in the T^(l)_ij (column l g(g+1)/2 + index of i <= j), over
+    det M and mod ``field``: y_l c_ij (M^-1)_ij, with c = 1 on the diagonal
+    and 2 off it.  ``ZeroDivisionError`` when M is singular."""
+    g = len(mats[0])
+    inv = inverse([[sum(yl * mats[l][i][j] for l, yl in y.items()) % field
+                    for j in range(g)] for i in range(g)], field)
+    entries = [(1 if i == j else 2) * inv[i][j]
+               for i in range(g) for j in range(i, g)]
+    return {l * len(entries) + k: yl * v % field
+            for l, yl in y.items() for k, v in enumerate(entries)}
+
+
+def theta_rank(g: int, r: int, seed) -> dict:
+    """The rank mod p = 2^31 - 1 of the gradients of det(sum_l y_l T^(l)) =
+    sum_m theta_m(T) y^m, rows in the span of the theta Jacobian, at a seeded
+    symmetric g x g tuple T^(0..r) and seeded points y; and the ``expected``
+    rank (r+1) g(g+1)/2 - (g^2 - 1), the transcendence degree of the
+    invariants, as a generic tuple has a finite stabiliser in SL_g for
+    r >= 1.  Work over ``RANK_BUDGET`` (rows^2 * columns) is refused."""
+    for name, value in (("g", g), ("r", r)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    n = g * (g + 1) // 2
+    expected = (r + 1) * n - (g * g - 1)
+    work = expected ** 2 * (r + 1) * n
+    if work > RANK_BUDGET:
+        raise SizeTooLarge(f"rank at g = {g}, r = {r} needs {work} steps "
+                           f"(rows^2 * columns), over the budget {RANK_BUDGET}")
+    field = (1 << 31) - 1
+    rng = random.Random(seed)
+    mats = [[[0] * g for _ in range(g)] for _ in range(r + 1)]
+    for T in mats:
+        for i in range(g):
+            for j in range(i, g):
+                T[i][j] = T[j][i] = rng.randrange(field)
+    # g + 1 points on levels 0, 1 reach the pencil's rank g + 1, and n on
+    # levels 0, 1, l add n for each further l; a singular M(y) is redrawn
+    rows = []
+    for levels in [(0, 1)] * (g + 1) + [(0, 1, l) for l in range(2, r + 1)
+                                        for _ in range(n)]:
+        while True:
+            with suppress(ZeroDivisionError):
+                rows.append(_gradient_row(
+                    mats, {l: rng.randrange(1, field) for l in levels}, field))
+                break
+    return {"rank": rank(ExactMatrix(rows, field=field, ncols=(r + 1) * n)),
+            "expected": expected, "field": field}

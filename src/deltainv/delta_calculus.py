@@ -81,33 +81,22 @@ def phi_coordinate(i: int, j: int) -> MultiPoly:
     return MultiPoly.var(VarId("w", j, i, 0))
 
 
-def _iterate_images(i: int, max_level: int, p: int):
-    """Level variables expressed in Frobenius-iterate coordinates.
-
-    Returns g[0..max_level] with g[j] the polynomial (over Q) in the
-    coordinates w_{i,0..j} whose value is z_i^(j).
-    """
-    gs = [phi_coordinate(i, 0)]
-    W = zvar(i, 0)
-    for j in range(1, max_level + 1):
-        W = frobenius_lift(W, p)
-        # W = p^j z^(j) + R(z^(0..j-1))
-        R = W - zvar(i, j) * p ** j
-        sigma = {VarId("z", l, i, 0): gs[l] for l in range(j)}
-        Rw = substitute(R.map_coeffs(Fraction), sigma)
-        gs.append((phi_coordinate(i, j) - Rw) * Fraction(1, p ** j))
-    return gs
-
-
 def _to_phi_coordinates(F: MultiPoly, p: int) -> MultiPoly:
-    variables = F.variables()
-    top = {}
-    for v in variables:
+    """F over Q in the Frobenius-iterate coordinates w_(i,k) = phi^k(z_i).
+    There phi is the shift w_k -> w_(k+1), and z^(l+1) = delta(z^(l)), so
+    z_i^(l) is G_l, with G_0 = w_(i,0) and G_(l+1) = (G_l(shifted w) -
+    G_l^p) / p."""
+    images = {}
+    for v in F.variables():
         if v.family != "z":
             raise ValueError("expected level-coordinate variables")
-        top[v.i] = max(top.get(v.i, 0), v.level)
-    images = {i: _iterate_images(i, level, p) for i, level in top.items()}
-    sigma = {v: images[v.i][v.level] for v in variables}
+        gs = images.setdefault(v.i, [phi_coordinate(v.i, 0)])
+        while len(gs) <= v.level:
+            G = gs[-1]
+            shifted = substitute(G, {w: MultiPoly.var(_raise_level(w))
+                                     for w in G.variables()})
+            gs.append((shifted - G ** p) * Fraction(1, p))
+    sigma = {v: images[v.i][v.level] for v in F.variables()}
     return substitute(F.map_coeffs(Fraction), sigma)
 
 

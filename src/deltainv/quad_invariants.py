@@ -40,7 +40,7 @@ class BadLevels(ValueError):
     """Level tuple with repeats or of the wrong length."""
 
 
-# products in the Leibniz sum of one theta, g! * multinomial(g; mdeg)
+# term products of one theta, upsilon or conj_invariants.y_invariant
 THETA_BUDGET = 10 ** 6
 # steps of the weight-count DP behind one dimension, estimated as
 # g (2s + g)^g (remaining weights times counts per weight): about 10 s at
@@ -545,18 +545,20 @@ def _count_g3(q, alpha, beta, gamma, nu):
     return count
 
 
-def b0_count(g: int, q: int, trials: int = 100, seed=None, draw=None):
+def _count_g2(q, a):
+    """Solutions x in F_q of x^2 = a^2: 1 when a = 0 or q = 2, else 2."""
+    return 1 if a % q == 0 or q == 2 else 2
+
+
+def b0_count(g: int, q: int, trials: int = 100, seed=None):
     """Solution counts on random fibres of the separating invariants.
 
-    At g = 2 a fibre is x^2 = d, with 1 point when d = 0 or q = 2 and 2
-    otherwise.  At g = 3 it is the system solved by `_count_g3`: with
-    w = z^2, the points with z = 0 exist only when R3 = 0, and the others lie
-    over the nonzero roots w of a cubic resolvent f, found by a gcd with
-    w^q - w and Cantor-Zassenhaus splitting, so a trial costs O(log q)
-    operations.  A count is at most 3 roots x 2 square roots z x 2 sign
-    choices of x = 12.  `draw` fixes the fibre of every trial: an int whose
-    square is d at g = 2, or (alpha, beta, gamma, nu) with nu not 0 or 1
-    mod q at g = 3, where f would not be a cubic.
+    At g = 2 a fibre is x^2 = d, counted by `_count_g2`.  At g = 3 it is
+    the system solved by `_count_g3`: with w = z^2, the points with z = 0
+    exist only when R3 = 0, and the others lie over the nonzero roots w of a
+    cubic resolvent f, found by a gcd with w^q - w and Cantor-Zassenhaus
+    splitting, so a trial costs O(log q) operations.  A count is at most
+    3 roots x 2 square roots z x 2 sign choices of x = 12.
     """
     if g not in (2, 3):
         raise ValueError("point counts implemented for sizes 2 and 3")
@@ -565,21 +567,12 @@ def b0_count(g: int, q: int, trials: int = 100, seed=None, draw=None):
         raise ValueError(f"size 3 needs q >= 3, got {q}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if g == 3 and draw is not None and draw[3] % q in (0, 1):
-        raise ValueError(f"nu must not be 0 or 1 mod q, got {draw[3]}")
     rng = random.Random(seed)
-    counts = []
-    for _ in range(trials):
-        if g == 2:
-            d = (draw if draw is not None else rng.randrange(q)) ** 2 % q
-            counts.append(1 if d == 0 or q == 2 else 2)
-        else:
-            if draw is not None:
-                alpha, beta, gamma, nu = draw
-            else:
-                alpha = rng.randrange(1, q)
-                beta = rng.randrange(1, q)
-                gamma = rng.randrange(1, q)
-                nu = rng.randrange(2, q)
-            counts.append(_count_g3(q, alpha, beta, gamma, nu))
-    return {"counts": counts, "max_count": max(counts)}
+    if g == 2:
+        counts = [_count_g2(q, rng.randrange(q)) for _ in range(trials)]
+    else:
+        # nu = 0 or 1 would leave no cubic resolvent
+        counts = [_count_g3(q, rng.randrange(1, q), rng.randrange(1, q),
+                            rng.randrange(1, q), rng.randrange(2, q))
+                  for _ in range(trials)]
+    return {"max_count": max(counts), "counts": counts}

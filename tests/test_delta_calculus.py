@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from deltainv.delta_calculus import (
     Weight,
+    _to_phi_coordinates,
     canonical_delta,
     delta_bracket,
     delta_homog_decompose,
@@ -212,6 +213,16 @@ def test_bracket_formula_is_homogeneous():
     for p in (2, 3):
         f = z(0) ** p * z(1, 1) - z(1) ** p * z(0, 1)
         assert homogeneous_weight(f, p) == Weight([p, 1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_phi_coordinates_of_a_level_variable_map_back_to_it(p):
+    # phi_to_levels is the inverse change of coordinates, built from
+    # Frobenius lifts of z rather than from the shift recursion
+    for level in range(4):
+        G = _to_phi_coordinates(z(1, level), p)
+        assert {v.level for v in G.variables()} == set(range(level + 1))
+        assert phi_to_levels(G, p) == z(1, level).map_coeffs(Fraction)
 
 
 def test_decomposition_reassembles():

