@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .conj_invariants import theta_rank
 from .delta_calculus import canonical_delta, delta_bracket
-from .exact_arith import require_prime
+from .exact_arith import require_at_least, require_prime
 from .multipoly import MultiPoly, Tvar, _det_rows, \
     generic_sym_matrix, homogeneous_component, var_name
 from .quad_invariants import (
@@ -266,8 +266,7 @@ def _suite_delta(args):
 
 def _suite_expansions(args):
     p, N, D = args.p, args.prec, args.deg
-    if D < 1:
-        raise ValueError(f"deg must be at least 1, got {D}")
+    require_at_least(D, 1, "deg")
     base = psi_phi_direct(1, 2, p, N, D)
     linear = reduce_rational_poly(Tvar(1, 1, 1) - Tvar(0, 1, 1), p, N)
     yield "linear-part", homogeneous_component(base[0][0], 1) == linear

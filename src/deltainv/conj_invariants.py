@@ -7,13 +7,16 @@ Numeric and symbolic constructions share the cofactor kernels of
 
 from __future__ import annotations
 
+import itertools
 import random
 from contextlib import suppress
-from math import factorial, perm
+from math import comb, factorial, perm
 
+from .exact_arith import require_at_least
 from .exact_linalg import ExactMatrix, inverse, rank
-from .multipoly import MultiPoly, SizeTooLarge, _det_rows, _mat_mul, _order, \
-    alternating_product, charpoly_coeff, generic_sym_matrix, wedge_power
+from .multipoly import MultiPoly, _det_rows, _mat_mul, _order, \
+    alternating_product, charpoly_coeff, generic_sym_matrix, \
+    require_within_budget, wedge_power
 from .quad_invariants import THETA_BUDGET
 
 # rows^2 * columns of one theta_rank elimination: about 3 s at the budget
@@ -75,17 +78,21 @@ def cyclic_matrix_product(levels, g: int):
 
 
 def y_invariant(j: int, levels, g: int) -> MultiPoly:
-    """j-th characteristic coefficient of the cyclic product.  An entry of
-    the product of n factors has at most t = g^(n-1) ((g-1)!)^(n//2) terms,
-    so the products take (n-1) g^2 t term products and the j x j minors
-    about g!/(g-j)! t^j; a sum over ``THETA_BUDGET`` is refused first."""
+    """j-th characteristic coefficient of the cyclic product, levels >= 0.
+    An entry of n factors has at most t = g^(n-1) ((g-1)!)^(n//2) terms, and
+    the products take (n-1) g^2 t.  The c adjacent pairs Q, adj Q are det Q *
+    1, so the j x j minors take g!/(g-j)! (t/g^c)^j, or C(g, j) (g!)^(cj) if
+    n = 2c; a sum over ``THETA_BUDGET`` is refused first."""
     levels = tuple(levels)
-    n = len(levels)
-    terms = g ** (n - 1) * factorial(g - 1) ** (n // 2)
-    work = (n - 1) * g * g * terms + (perm(g, j) * terms ** j if j >= 0 else 0)
-    if work > THETA_BUDGET:
-        raise SizeTooLarge(f"c_{j} of {n} cyclic factors of size {g} needs "
-                           f"{work} products, over the budget {THETA_BUDGET}")
+    require_at_least(min(levels, default=0), 0, "levels")
+    n, k = len(levels), max(j, 0)       # charpoly_coeff rejects j < 0
+    c = sum(len(list(run)) // 2 for _, run in itertools.groupby(
+        max(a, b) for a, b in zip(levels, levels[1:] + levels[:1])))
+    t = g ** (n - 1) * factorial(g - 1) ** (n // 2)
+    work = (n - 1) * g * g * t + (perm(g, k) * (t // g ** c) ** k if n > 2 * c
+                                  else comb(g, k) * factorial(g) ** (c * k))
+    require_within_budget(f"c_{j} of {n} cyclic factors of size {g}", work,
+                          "products", THETA_BUDGET)
     return charpoly_coeff(cyclic_matrix_product(levels, g), j)
 
 
@@ -143,15 +150,13 @@ def theta_rank(g: int, r: int, seed) -> dict:
     rank (r+1) g(g+1)/2 - (g^2 - 1), the transcendence degree of the
     invariants, as a generic tuple has a finite stabiliser in SL_g for
     r >= 1.  Work over ``RANK_BUDGET`` (rows^2 * columns) is refused."""
-    for name, value in (("g", g), ("r", r)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    require_at_least(g, 1, "g")
+    require_at_least(r, 1, "r")
     n = g * (g + 1) // 2
     expected = (r + 1) * n - (g * g - 1)
-    work = expected ** 2 * (r + 1) * n
-    if work > RANK_BUDGET:
-        raise SizeTooLarge(f"rank at g = {g}, r = {r} needs {work} steps "
-                           f"(rows^2 * columns), over the budget {RANK_BUDGET}")
+    require_within_budget(f"rank at g = {g}, r = {r}",
+                          expected ** 2 * (r + 1) * n,
+                          "steps (rows^2 * columns)", RANK_BUDGET)
     field = (1 << 31) - 1
     rng = random.Random(seed)
     mats = [[[0] * g for _ in range(g)] for _ in range(r + 1)]

@@ -26,7 +26,7 @@ class TruncatedPadic:
 
     def __init__(self, p: int, N: int, residue: int):
         if N < 1:
-            raise ValueError("precision must be at least 1")
+            raise ValueError(f"precision must be at least 1, got {N}")
         self.p = p
         self.N = N
         self.residue = residue % p ** N
@@ -139,14 +139,19 @@ def require_prime(n: int, name: str = "p") -> None:
         raise ValueError(f"{name} must be prime, got {n}")
 
 
+def require_at_least(value, low, name: str) -> None:
+    """Raise ``ValueError`` unless value >= low, naming ``name``."""
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
 def rational_reduce(value, p: int, N: int) -> TruncatedPadic:
     """Reduce an integer or Fraction modulo ``p**N``.
 
     Raises :class:`NegativeValuation` if the denominator is divisible by p,
     and ``ValueError`` if N is below 1 or the value is not rational.
     """
-    if N < 1:
-        raise ValueError(f"precision must be at least 1, got {N}")
+    require_at_least(N, 1, "precision")
     if not isinstance(value, (int, Fraction)):
         raise ValueError(f"only an integer or Fraction reduces, got {value!r}")
     value = Fraction(value)

@@ -33,21 +33,25 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple
 
-from .exact_arith import TruncatedPadic
+from .exact_arith import TruncatedPadic, require_at_least
 
 
 class DomainMismatch(ValueError):
     """Rational and p-adic coefficients cannot be combined implicitly."""
 
 
-class BadQ(ValueError):
-    """Exterior-power order out of range."""
-
-
 class SizeTooLarge(ValueError):
     """Input too large for exact expansion."""
+
+
+def require_within_budget(what: str, work: int, unit: str, budget: int):
+    """Raise :class:`SizeTooLarge` when ``work`` is over ``budget``."""
+    if work > budget:
+        raise SizeTooLarge(f"{what} needs {work} {unit}, over the budget "
+                           f"{budget}")
 
 
 class VarId(NamedTuple):
@@ -363,8 +367,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative exponent")
+        require_at_least(n, 0, "exponent")
         if n == 0:
             return MultiPoly({(): 1}, self.trunc)
         _poly_domain(self)
@@ -531,8 +534,6 @@ def alternating_product(factors):
 def charpoly_coeff(M, j: int):
     """The coefficient c_j, 0 <= j <= g, in det(t*1 - M) = sum (-1)^j c_j
     t^(g-j): the sum of the j x j principal minors of M."""
-    from itertools import combinations
-
     g = _order(M)
     if not 0 <= j <= g:
         raise ValueError(f"coefficient index must be in [0, {g}], got {j}")
@@ -544,11 +545,10 @@ def charpoly_coeff(M, j: int):
 
 def wedge_power(M, q: int):
     """q-th exterior power on the lexicographic basis of q-subsets."""
-    from itertools import combinations
-
     g = _order(M)
     if not 1 <= q <= g - 1:
-        raise BadQ(f"exterior power order must be in [1, {g - 1}], got {q}")
+        raise ValueError(f"exterior power order must be in [1, {g - 1}], "
+                         f"got {q}")
     subsets = list(combinations(range(g), q))
     return [[_det_rows([[M[r][c] for c in T] for r in S]) for T in subsets]
             for S in subsets]

@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial, log, prod
 
-from .exact_arith import require_prime
+from .exact_arith import require_at_least, require_prime
 from .exact_linalg import ExactMatrix, kernel_basis
 from .multipoly import (
     MultiPoly,
@@ -30,14 +30,11 @@ from .multipoly import (
     _det_rows,
     _mat_mul,
     _order,
+    require_within_budget,
     substitute,
     uvar,
     vvar,
 )
-
-
-class BadLevels(ValueError):
-    """Level tuple with repeats or of the wrong length."""
 
 
 # term products of one theta, upsilon or conj_invariants.y_invariant
@@ -47,6 +44,8 @@ THETA_BUDGET = 10 ** 6
 # the budget.  At g = 2, where all counts but the first are forced, it
 # overcounts and refuses s >= 5000.
 DIMS_BUDGET = 2 * 10 ** 8
+# weight counts of one Hilbert series: 7-10 s at the budget when r = 4
+HILBERT_BUDGET = 2 * 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +76,7 @@ def _entry_derivative_images(v: VarId, a: int, b: int):
 def _apply_derivation(f: MultiPoly, a: int, b: int) -> MultiPoly:
     total = MultiPoly.constant(0)
     for v in f.variables():
-        images = _entry_derivative_images(v, a, b)
-        for w in images:
+        for w in _entry_derivative_images(v, a, b):
             total = total + f.derivative(v) * MultiPoly.var(w)
     return total
 
@@ -119,8 +117,7 @@ def invariant_dimension(g: int, r: int, s) -> int:
     ``T^(l)_ij`` (index weight e_i + e_j) of each total index weight.
     """
     for name, value, low in (("g", g, 1), ("r", r, 0), ("s", s, 0)):
-        if value < low:
-            raise ValueError(f"{name} must be at least {low}, got {value}")
+        require_at_least(value, low, name)
     s = Fraction(s)
     if (g * s).denominator != 1:
         raise ValueError(f"total degree {g * s} is not an integer")
@@ -163,6 +160,15 @@ def invariant_dimension(g: int, r: int, s) -> int:
 # theta and upsilon generators
 # ---------------------------------------------------------------------------
 
+def _distinct_levels(levels, name: str) -> tuple:
+    """``levels`` as a tuple, checked distinct and non-negative."""
+    levels = tuple(levels)
+    if len(set(levels)) != len(levels):
+        raise ValueError(f"{name} must be distinct, got {levels}")
+    require_at_least(min(levels, default=0), 0, name)
+    return levels
+
+
 def theta_multidegrees(g: int, r: int):
     """All (r+1)-part multidegrees of total degree g, lexicographic."""
     out = []
@@ -183,16 +189,13 @@ def theta(g: int, mdeg) -> MultiPoly:
     are counted first and refused above ``THETA_BUDGET``.
     """
     mdeg = tuple(mdeg)
-    if g < 1:
-        raise ValueError(f"matrix size must be at least 1, got {g}")
-    if any(m < 0 for m in mdeg):
-        raise ValueError(f"multidegree parts must be non-negative, got {mdeg}")
+    require_at_least(g, 1, "g")
+    require_at_least(min(mdeg, default=0), 0, "multidegree parts")
     if sum(mdeg) != g:
         raise ValueError("multidegree must sum to the matrix size")
-    work = factorial(g) ** 2 // prod(factorial(m) for m in mdeg)
-    if work > THETA_BUDGET:
-        raise SizeTooLarge(f"theta of size {g} and multidegree {mdeg} needs "
-                           f"{work} products, over the budget {THETA_BUDGET}")
+    require_within_budget(f"theta of size {g} and multidegree {mdeg}",
+                          factorial(g) ** 2 // prod(map(factorial, mdeg)),
+                          "products", THETA_BUDGET)
     pairs = [(i, j) for i in range(g) for j in range(i, g)]
     npairs = len(pairs)
     pair_of = {(i, j): k for k, (i, j) in enumerate(pairs)}
@@ -219,15 +222,12 @@ def upsilon(g: int, levels) -> MultiPoly:
     entries are distinct variables, so each of the n! permutations of its
     n = g(g+1)/2 rows gives its own monomial; n! above ``THETA_BUDGET`` is
     refused."""
-    levels = tuple(levels)
+    levels = _distinct_levels(levels, "levels")
     n = g * (g + 1) // 2
-    if len(set(levels)) != len(levels):
-        raise BadLevels(f"levels must be distinct, got {levels}")
     if len(levels) != n:
-        raise BadLevels(f"need {n} levels for size {g}, got {len(levels)}")
-    if factorial(n) > THETA_BUDGET:
-        raise SizeTooLarge(f"upsilon of size {g} needs {factorial(n)} "
-                           f"products, over the budget {THETA_BUDGET}")
+        raise ValueError(f"need {n} levels for size {g}, got {len(levels)}")
+    require_within_budget(f"upsilon of size {g}", factorial(n), "products",
+                          THETA_BUDGET)
     var = [[VarId("T", q, i, j) for q in levels]
            for i in range(1, g + 1) for j in range(i, g + 1)]
     return MultiPoly({tuple(sorted((var[k][c], 1) for k, c in enumerate(w))):
@@ -274,9 +274,7 @@ def xi_lift(cycle) -> MultiPoly:
     sends T_11, T_12, T_22 to u^2, uv, v^2, so the preimage rewrites each
     term level by level and keeps its coefficient.
     """
-    cycle = tuple(cycle)
-    if len(set(cycle)) != len(cycle):
-        raise BadLevels(f"cycle entries must be distinct, got {cycle}")
+    cycle = _distinct_levels(cycle, "cycle entries")
     entry_of = {2: (1, 1), 1: (1, 2), 0: (2, 2)}      # u-degree -> (i, j)
     out = {}
     for key, coeff in xi_target(cycle).terms.items():
@@ -305,9 +303,7 @@ def _pluecker_products(indices):
 
 def relation_check(kind: str, indices=(0, 1, 2, 3), split=None):
     """Verify one of the known relations; returns (holds, witness)."""
-    indices = tuple(indices)
-    if len(set(indices)) != len(indices):
-        raise ValueError(f"indices must be distinct, got {indices}")
+    indices = _distinct_levels(indices, "indices")
     if kind == "cyclic":
         if split is None or not 2 <= split <= len(indices) - 1:
             raise ValueError("cyclic relation needs a split position")
@@ -347,17 +343,20 @@ def hilbert_closed(r: int, terms: int, variant: str = "even"):
     the invariants of degree 2s of r + 1 symmetric matrices (``even``) or of
     their rank-one images, r + 1 vectors (u_l, v_l) with C(a + r, r)
     C(b + r, r) monomials of weight (a, b) (``grassmannian``)."""
-    if terms < 0:
-        raise ValueError(f"terms must be at least 0, got {terms}")
-    if r < 0:
-        raise ValueError(f"r must be at least 0, got {r}")
+    require_at_least(terms, 0, "terms")
+    require_at_least(r, 0, "r")
+    if variant not in ("even", "grassmannian"):
+        raise ValueError(f"unknown variant: {variant}")
+    # two weight counts per degree s, an even one over s + 1 exponents
+    require_within_budget(f"the {variant} Hilbert series to {terms} terms",
+                          terms * (terms + 1 if variant == "even" else 2),
+                          "weight counts", HILBERT_BUDGET)
     if variant == "even":
         return [invariant_dimension(2, r, s) for s in range(terms)]
-    if variant == "grassmannian":
-        def vectors(mu):
-            return prod(comb(m + r, r) for m in mu) if min(mu) >= 0 else 0
-        return [_weyl_sum(2, s, vectors) for s in range(terms)]
-    raise ValueError(f"unknown variant: {variant}")
+
+    def vectors(mu):
+        return prod(comb(m + r, r) for m in mu) if min(mu) >= 0 else 0
+    return [_weyl_sum(2, s, vectors) for s in range(terms)]
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +373,7 @@ def _discriminant(cs):
     coefficient is divided out, so c_0 = 0 needs no special case.
     """
     g = len(cs) - 1
-    if g < 1:
-        raise ValueError(f"a binary form needs degree at least 1, got {g}")
+    require_at_least(g, 1, "degree")
     fx = [c * (g - j) for j, c in enumerate(cs[:-1])]
     fy = [c * j for j, c in enumerate(cs) if j]
     zero = cs[0] * 0
@@ -563,10 +561,8 @@ def b0_count(g: int, q: int, trials: int = 100, seed=None):
     if g not in (2, 3):
         raise ValueError("point counts implemented for sizes 2 and 3")
     require_prime(q, "q")
-    if g == 3 and q < 3:
-        raise ValueError(f"size 3 needs q >= 3, got {q}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    require_at_least(q, g, "q")     # size 3 needs an odd q
+    require_at_least(trials, 1, "trials")
     rng = random.Random(seed)
     if g == 2:
         counts = [_count_g2(q, rng.randrange(q)) for _ in range(trials)]

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .conj_invariants import y_invariant
 from .delta_calculus import frobenius_lift
-from .exact_arith import TruncatedPadic, rational_reduce, require_prime
+from .exact_arith import rational_reduce, require_at_least, require_prime
 from .multipoly import MultiPoly, VarId, homogeneous_component, substitute
 
 
@@ -41,8 +41,7 @@ def _log_entry(D: int) -> MultiPoly:
     """``L = log(1 + T^(0)_11)`` with exact rational coefficients, truncated
     at degree D: every twist level's series is a combination of Frobenius
     lifts of L."""
-    if D < 0:
-        raise ValueError(f"degree bound must be nonnegative, got {D}")
+    require_at_least(D, 0, "D")
     return MultiPoly({((_ENTRY, n),): Fraction((-1) ** (n + 1), n)
                       for n in range(1, D + 1)}, trunc=D)
 
@@ -57,8 +56,7 @@ def _log_series(a: int, p: int, D: int) -> MultiPoly:
     series is ``(phi^a(L) - p phi^(a-1)(L)) / p``.
     """
     require_prime(p)
-    if a < 1:
-        raise ValueError(f"twist level must be at least 1, got {a}")
+    require_at_least(a, 1, "twist level")
     prev = _log_entry(D)
     for _ in range(a - 1):
         prev = frobenius_lift(prev, p)
@@ -100,16 +98,13 @@ def phi_twist(S, p: int):
 
 def expansion_basic(kind: str, index: int, g: int, p: int, N: int, D: int):
     require_prime(p)
-    if g < 1:
-        raise ValueError(f"matrix size must be at least 1, got {g}")
+    require_at_least(g, 1, "g")
     if kind not in ("f_partial", "f_angle", "f_r", "f_bracket"):
         raise ValueError(f"unknown expansion kind: {kind}")
-    if index < 1:
-        raise ValueError(f"{kind} needs index at least 1, got {index}")
-    if D < 0:
-        raise ValueError(f"degree bound must be nonnegative, got {D}")
+    for name, value, low in (("index", index, 1), ("N", N, 1), ("D", D, 0)):
+        require_at_least(value, low, name)
     if kind == "f_partial":
-        one = TruncatedPadic(p, N, 1)
+        one = rational_reduce(1, p, N)
         return [[MultiPoly.constant(one if i == j else one * 0)
                  for j in range(g)] for i in range(g)]
     if kind == "f_angle":
@@ -140,8 +135,8 @@ def _slot_images(F: MultiPoly, level_series) -> dict:
 def diamond_realize(F: MultiPoly, r: int, g: int, p: int, N: int,
                     D: int) -> MultiPoly:
     """Substitute the (level)-fold twisted series for each slot of F."""
-    if g < 1:
-        raise ValueError(f"matrix size must be at least 1, got {g}")
+    for name, value, low in (("g", g, 1), ("N", N, 1), ("D", D, 0)):
+        require_at_least(value, low, name)
     for v in sorted(F.variables()):
         if v.level >= r:
             raise ValueError(f"slot {v.level} needs r > {v.level}")
@@ -221,8 +216,7 @@ def cyclic_word_check(levels, j: int, g: int, p: int) -> dict:
     levels = tuple(levels)
     if len(levels) % 2 or len(levels) < 2:
         raise ValueError("cycle must have positive even length")
-    edges = list(zip(levels, levels[1:] + levels[:1]))
-    if any(a == b for a, b in edges):
+    if any(a == b for a, b in zip(levels, levels[1:] + levels[:1])):
         raise ValueError(f"cycle entries must alternate, got {levels}")
     cY = y_invariant(j, levels, g)
     nonzero = bool(cY.map_coeffs(lambda c: c % p))

@@ -59,6 +59,17 @@ def test_dims_half_integer(capsys):
     ("rank --g 2 --r 0", "r"),
     ("hilbert --r -1", "r"),
     ("relations --kind plucker --split 3", "split"),
+    ("theta --g 0 --multidegree 0", "g"),
+    ("expand --kind f_r --g 0", "g"),
+    ("expand --kind f_r --index 0", "index"),
+    ("expand --kind f_partial --prec 0", "N"),
+    ("expand --kind f_partial --deg -1", "D"),
+    ("diamond --g 0", "g"),
+    ("diamond --prec 0", "N"),
+    ("diamond --deg -1", "D"),
+    ("xi --cycle 0,-1", "cycle entries"),
+    ("upsilon --g 2 --levels 0,1,-2", "levels"),
+    ("b0 --g 3 --q 2", "q"),
 ])
 def test_error_names_the_bad_argument(capsys, argv, name):
     assert main(argv.split()) == 2
@@ -300,6 +311,10 @@ def test_usage_error_exit_code(capsys):
     "hilbert --terms -2",
     "hilbert --r -1",
     "hilbert --variant grassmannian --r -1",
+    "hilbert --r 4 --terms 5001",
+    "hilbert --variant grassmannian --terms 1000001",
+    "xi --cycle 0,-1",
+    "upsilon --g 2 --levels 0,1,-2",
     "relations --kind plucker --indices 0,1,2",
     "relations --kind plucker --indices 0,1,2,3,4",
     "relations --kind plucker --split 3",

@@ -260,6 +260,39 @@ def test_y_invariant_refuses_work_over_the_budget():
     assert time.perf_counter() - start < 1
     # j = 1 at the same size is a 952-term trace
     assert len(y_invariant(1, (0, 1, 2, 3), 4).terms) == 952
+    # (3, 0, 1, 2) rotates (0, 1, 2, 3), but its equal factors Q^(3) are the
+    # last and the first, never multiplied together: 7 s, refused
+    with pytest.raises(SizeTooLarge, match="needs 7561188 products"):
+        y_invariant(3, (3, 0, 1, 2), 3)
+
+
+def _det_q(g, level):
+    return _det_rows(generic_sym_matrix(g, level, family="Q"))
+
+
+@pytest.mark.parametrize("j,levels,g,expect", [
+    # Q1 adj Q2 Q3 adj Q3 = det Q3 Q1 adj Q2, and det adj Q = (det Q)^(g-1)
+    (3, (0, 1, 2, 3), 3, lambda: _det_q(3, 1) * _det_q(3, 2) ** 2
+     * _det_q(3, 3) ** 3),
+    # Q1 adj Q1 = det Q1 * 1, in either order of the two levels
+    (4, (0, 1), 4, lambda: _det_q(4, 1) ** 4),
+    (4, (1, 0), 4, lambda: _det_q(4, 1) ** 4),
+], ids=["g3-0123", "g4-01", "g4-10"])
+def test_y_invariant_counts_adjacent_equal_factors_as_det(j, levels, g, expect):
+    # refused before at 7.6e6 and 8.0e6 estimated products; each runs in
+    # well under a second
+    start = time.perf_counter()
+    assert y_invariant(j, levels, g) == expect()
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("call", [
+    lambda: y_invariant(1, (0, -1), 2),
+    lambda: cyclic_word_check((0, -1), 1, 2, 3),
+], ids=["y_invariant", "cyclic_word_check"])
+def test_negative_levels_are_rejected(call):
+    with pytest.raises(ValueError, match="^levels must be at least 0, got -1$"):
+        call()
 
 
 @pytest.mark.parametrize("coefficient,one", [

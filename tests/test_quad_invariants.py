@@ -10,6 +10,7 @@ math.comb, and brute-force solution counting over F_q.
 import functools
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import comb, prod
 
@@ -27,10 +28,11 @@ from deltainv.multipoly import (
     uvar,
     vvar,
 )
+from deltainv import quad_invariants
 from deltainv.quad_invariants import (
     DIMS_BUDGET,
+    HILBERT_BUDGET,
     THETA_BUDGET,
-    BadLevels,
     _apply_derivation,
     _count_g2,
     _count_g3,
@@ -343,7 +345,7 @@ def test_theta_beyond_six_rows_is_a_det_coefficient():
     (lambda: jmath(Tvar(0, 3, 3)), "defined for size 2"),
     (lambda: relation_check("cyclic"), "needs a split"),
     (lambda: relation_check("no-such-kind"), "unknown relation kind"),
-    (lambda: binary_discriminant([5]), "degree at least 1"),
+    (lambda: binary_discriminant([5]), "degree must be at least 1, got 0"),
     (lambda: b0_count(4, 101), "sizes 2 and 3"),
 ], ids=["theta-sum", "upsilon-count", "jmath-size-3", "cyclic-no-split",
         "relation-kind", "discriminant-degree-0", "b0-size-4"])
@@ -353,7 +355,8 @@ def test_rejects_invalid_arguments(call, match):
 
 
 def test_theta_rejects_negative_parts():
-    with pytest.raises(ValueError, match=r"\(3, -1\)"):
+    with pytest.raises(ValueError,
+                       match="^multidegree parts must be at least 0, got -1$"):
         theta(2, (3, -1))
 
 
@@ -367,7 +370,8 @@ def test_theta_refuses_over_budget_before_expanding():
 # ---------------------------------------------------------------- upsilon
 
 def test_upsilon_rejects_repeats():
-    with pytest.raises(BadLevels):
+    with pytest.raises(ValueError,
+                       match=r"^levels must be distinct, got \(0, 0, 1\)$"):
         upsilon(2, (0, 0, 1))
 
 
@@ -461,7 +465,8 @@ def test_xi_lift_is_a_multilinear_integer_preimage(cycle):
 
 
 def test_xi_lift_rejects_repeated_levels():
-    with pytest.raises(BadLevels):
+    with pytest.raises(ValueError, match=r"^cycle entries must be distinct, "
+                       r"got \(0, 1, 0\)$"):
         xi_lift((0, 1, 0))
 
 
@@ -475,6 +480,20 @@ def test_xi_target_is_minus_circular_product():
 def test_relation_rejects_repeated_indices():
     with pytest.raises(ValueError):
         relation_check("cyclic", indices=(0, 1, 1, 2), split=3)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: upsilon(2, (0, 1, -2)), "levels must be at least 0, got -2"),
+    (lambda: xi_lift((0, -1)), "cycle entries must be at least 0, got -1"),
+    (lambda: relation_check("plucker", (0, 1, 2, -3)),
+     "indices must be at least 0, got -3"),
+    (lambda: relation_check("cyclic", (0, -1, 2, 3), split=2),
+     "indices must be at least 0, got -1"),
+], ids=["upsilon", "xi", "plucker", "cyclic"])
+def test_negative_levels_are_rejected(call, message):
+    # before, xi_lift((0, -1)) named a variable T-1_11
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_cyclic_relation_smallest_case():
@@ -597,6 +616,33 @@ def test_hilbert_term_count():
     for variant in ("even", "grassmannian"):
         with pytest.raises(ValueError, match="terms"):
             hilbert_closed(3, -2, variant=variant)
+
+
+def test_hilbert_refuses_a_series_over_the_budget_before_any_term():
+    # 5001 even terms took about 100 s, and the per-term dimension budget
+    # only tripped at the last one
+    start = time.perf_counter()
+    for variant, terms, work in (("even", 5001, 5001 * 5002),
+                                 ("even", 10 ** 5, 10 ** 5 * (10 ** 5 + 1)),
+                                 ("grassmannian", 10 ** 6 + 1, 2 * 10 ** 6 + 2)):
+        with pytest.raises(SizeTooLarge, match=(
+                f"^the {variant} Hilbert series to {terms} terms needs {work} "
+                f"weight counts, over the budget {HILBERT_BUDGET}$")):
+            hilbert_closed(4, terms, variant=variant)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("variant,last", [("even", 1413),
+                                          ("grassmannian", 10 ** 6)])
+def test_hilbert_budget_boundary(monkeypatch, variant, last):
+    # each count stubbed out: the estimate alone decides, and the last
+    # accepted length is the largest within the budget
+    monkeypatch.setattr(quad_invariants, "invariant_dimension",
+                        lambda g, r, s: 0)
+    monkeypatch.setattr(quad_invariants, "_weyl_sum", lambda g, s, count: 0)
+    assert len(hilbert_closed(4, last, variant=variant)) == last
+    with pytest.raises(SizeTooLarge):
+        hilbert_closed(4, last + 1, variant=variant)
 
 
 def test_hilbert_grassmannian_r3():

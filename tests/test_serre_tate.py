@@ -321,7 +321,8 @@ def test_diamond_congruence_stability():
     (lambda: expansion_basic("f_unknown", 1, 2, 3, 2, 3), "unknown expansion"),
     (lambda: diamond_realize(Tvar(1, 1, 1), 1, 2, 3, 2, 3), "slot 1 needs r"),
     (lambda: diamond_realize(Tvar(0, 1, 3), 1, 2, 3, 2, 3), "outside g = 2"),
-    (lambda: diamond_realize(Tvar(0, 1, 1), 1, 2, 3, 2, -1), "nonnegative"),
+    (lambda: diamond_realize(Tvar(0, 1, 1), 1, 2, 3, 2, -1),
+     "^D must be at least 0, got -1$"),
     (lambda: _log_series(0, 3, 4), "twist level"),
 ], ids=["expansion-kind", "diamond-slot", "diamond-entry", "diamond-degree",
         "log-series-level"])
