@@ -43,8 +43,14 @@ from .serre_tate import (
 )
 
 
-def _int_tuple(text: str):
-    return tuple(int(part) for part in text.split(","))
+def _int_tuple(text: str, name: str):
+    """The integers of a comma-separated flag value; ``ValueError`` naming
+    the flag when a part is not an integer."""
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"{name} must be comma-separated integers, "
+                         f"got {text!r}") from None
 
 
 def _matrix_entries(series) -> list:
@@ -150,6 +156,9 @@ def _cmd_dims(args):
     except ZeroDivisionError:
         raise ValueError(f"s must have a nonzero denominator, got {args.s}") \
             from None
+    except ValueError:
+        raise ValueError(f"s must be a rational number, got {args.s!r}") \
+            from None
     dimension = invariant_dimension(args.g, args.r, s)
     return {"g": args.g, "r": args.r, "s": str(args.s),
             "dimension": dimension}
@@ -162,27 +171,27 @@ def _cmd_hilbert(args):
 
 
 def _cmd_theta(args):
-    mdeg = _int_tuple(args.multidegree)
+    mdeg = _int_tuple(args.multidegree, "multidegree")
     poly = theta(args.g, mdeg)
     return {"g": args.g, "multidegree": list(mdeg),
             "polynomial": poly}
 
 
 def _cmd_upsilon(args):
-    levels = _int_tuple(args.levels)
+    levels = _int_tuple(args.levels, "levels")
     poly = upsilon(args.g, levels)
     return {"g": args.g, "levels": list(levels),
             "polynomial": poly}
 
 
 def _cmd_xi(args):
-    cycle = _int_tuple(args.cycle)
+    cycle = _int_tuple(args.cycle, "cycle")
     poly = xi_lift(cycle)
     return {"cycle": list(cycle), "polynomial": poly}
 
 
 def _cmd_relations(args):
-    indices = _int_tuple(args.indices)
+    indices = _int_tuple(args.indices, "indices")
     holds, witness = relation_check(args.kind, indices, split=args.split)
     doc = {"kind": args.kind, "indices": list(indices), "holds": holds}
     if args.split is not None:
@@ -202,7 +211,7 @@ def _cmd_expand(args):
 
 def _cmd_diamond(args):
     if args.multidegree:
-        mdeg = _int_tuple(args.multidegree)
+        mdeg = _int_tuple(args.multidegree, "multidegree")
         invariant = theta(args.g, mdeg)
         label = {"invariant": "theta", "multidegree": list(mdeg)}
         r = len(mdeg)
@@ -249,13 +258,12 @@ def _suite_delta(args):
     for trial in range(3):
         F = _random_int_poly(rng, 3, 3)
         G = _random_int_poly(rng, 3, 3)
-        corr = (F ** p + G ** p - (F + G) ** p).map_coeffs(
-            lambda c: Fraction(c, p))
-        yield f"sum-rule-{trial}", canonical_delta(F + G, p) == (
-            canonical_delta(F, p) + canonical_delta(G, p) + corr)
+        Fp, Gp = F ** p, G ** p
+        dF, dG = canonical_delta(F, p), canonical_delta(G, p)
+        corr = (Fp + Gp - (F + G) ** p).map_coeffs(lambda c: Fraction(c, p))
+        yield f"sum-rule-{trial}", canonical_delta(F + G, p) == dF + dG + corr
         yield f"product-rule-{trial}", canonical_delta(F * G, p) == (
-            F ** p * canonical_delta(G, p) + G ** p * canonical_delta(F, p)
-            + canonical_delta(F, p) * canonical_delta(G, p) * p)
+            Fp * dG + Gp * dF + dF * dG * p)
 
     a, b = Tvar(0, 1, 1), Tvar(0, 1, 2)
     yield ("bracket-antisymmetry",

@@ -52,7 +52,7 @@ def _raise_level(vid: VarId) -> VarId:
 
 def frobenius_lift(F: MultiPoly, p: int) -> MultiPoly:
     """Ring endomorphism with v -> v**p + p * v_next on every variable."""
-    sigma = {v: MultiPoly.var(v) ** p + MultiPoly.var(_raise_level(v)) * p
+    sigma = {v: MultiPoly({((v, p),): 1, ((_raise_level(v), 1),): p})
              for v in F.variables()}
     return substitute(F, sigma)
 

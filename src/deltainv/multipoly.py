@@ -12,16 +12,16 @@ negations, coefficient maps and sums of operands with the same bound produce
 only monomials within the bound already, so they go through the private
 ``MultiPoly._build``, which drops zero coefficients only.
 
-A product of two multi-term polynomials, and every power (of any base, one
-term or none included), works on packed monomials: each variable of the
-operands gets a fixed-width exponent field of one int, wide enough that no sum
-of exponents carries, and the total degree sits above them.  A monomial product
-is then one integer addition, a pair lies above the bound exactly when its
-packed sum reaches ``(trunc + 1) << top``, and a power keeps its running value
-packed through all of its steps.  Keys are decoded once per output term.  When
-one operand of a product has a single term (a scalar or a monomial) its key
-maps the other's keys one to one, and the product multiplies the tuple keys
-directly.
+A product of two multi-term polynomials, every power (of any base, one term
+or none included), and every substitution work on packed monomials: each
+variable of the operands gets a fixed-width exponent field of one int, wide
+enough that no sum of exponents carries, and the total degree sits above them.
+A monomial product is then one integer addition, a pair lies above the bound
+exactly when its packed sum reaches ``(trunc + 1) << top``, and a power or a
+substitution keeps its running values packed through all of its steps.  Keys
+are decoded once per output term.  When one operand of a product has a single
+term (a scalar or a monomial) its key maps the other's keys one to one, and the
+product multiplies the tuple keys directly.
 
 Polynomials are never changed after construction, so the coefficient domain
 that ``+`` and ``*`` check (rational or p-adic) is scanned once per
@@ -153,21 +153,25 @@ class _Packing:
     Each variable gets ``width`` bits, in sorted order from the lowest bits
     up, and the total degree sits above them at bit ``top``.  ``bound`` is
     the largest exponent any product may reach; the width holds it, so
-    packed keys add without a carry from one field into the next.  A packed
-    key at or above ``limit`` has a degree beyond ``trunc``.
+    packed keys add without a carry from one field into the next.
     """
 
-    __slots__ = ("variables", "width", "offsets", "top", "limit")
+    __slots__ = ("variables", "bound", "width", "offsets", "top")
 
-    def __init__(self, variables, bound: int, trunc):
+    def __init__(self, variables, bound: int):
         self.variables = sorted(variables)
+        self.bound = bound
         self.width = bound.bit_length()
         self.offsets = {v: i * self.width
                         for i, v in enumerate(self.variables)}
         self.top = len(self.variables) * self.width
+
+    def limit(self, trunc) -> int:
+        """The packed keys at or above this one have a degree beyond
+        ``trunc``; with no ``trunc``, no key reaches it."""
         if trunc is None:       # each field holds at most ``bound``
-            trunc = len(self.variables) * bound
-        self.limit = (trunc + 1) << self.top
+            trunc = len(self.variables) * self.bound
+        return (trunc + 1) << self.top
 
     def pack(self, terms):
         """``[(packed key, coefficient)]`` in the order of ``terms``."""
@@ -213,6 +217,17 @@ def _packed_mul(left, right, limit):
                 c = c1 * c2
                 out[k] = out[k] + c if k in out else c
     return out
+
+
+def _packed_powers(base, n: int, limit):
+    """``[base, base**2, ..., base**n]`` for a packed term list ``base``,
+    n >= 1: each power is one product of the last with ``base``, below
+    ``limit`` and with its zero coefficients dropped."""
+    powers = [base]
+    for _ in range(n - 1):
+        powers.append([kc for kc in _packed_mul(powers[-1], base, limit).items()
+                       if kc[1]])
+    return powers
 
 
 class MultiPoly:
@@ -348,9 +363,9 @@ class MultiPoly:
         if len(self.terms) > 1 and len(other.terms) > 1:
             fields = _Packing(
                 self.variables() | other.variables(),
-                _max_exponent(self.terms) + _max_exponent(other.terms), trunc)
+                _max_exponent(self.terms) + _max_exponent(other.terms))
             out = _packed_mul(fields.pack(self.terms),
-                              fields.pack(other.terms), fields.limit)
+                              fields.pack(other.terms), fields.limit(trunc))
             return fields.unpack(out.items(), trunc)
         out = {}
         right = [(k2, c2, _key_degree(k2)) for k2, c2 in other.terms.items()]
@@ -371,14 +386,10 @@ class MultiPoly:
         if n == 0:
             return MultiPoly({(): 1}, self.trunc)
         _poly_domain(self)
-        fields = _Packing(self.variables(), n * _max_exponent(self.terms),
-                          self.trunc)
-        base = fields.pack(self.terms)
-        power = base
-        for _ in range(n - 1):
-            power = [kc for kc in _packed_mul(power, base, fields.limit).items()
-                     if kc[1]]
-        return fields.unpack(power, self.trunc)
+        fields = _Packing(self.variables(), n * _max_exponent(self.terms))
+        powers = _packed_powers(fields.pack(self.terms), n,
+                                fields.limit(self.trunc))
+        return fields.unpack(powers[-1], self.trunc)
 
     def __eq__(self, other):
         other = self._as_poly(other)
@@ -406,48 +417,85 @@ def substitute(f: MultiPoly, sigma: dict, D: int | None = None) -> MultiPoly:
     """Replace each variable of f by ``sigma[vid]``.
 
     Raises KeyError when a variable of f has no image.  An optional degree
-    cap D truncates the result (and all intermediates).
+    cap D truncates the images and the result.
 
-    The images of the terms of f are summed into one dict, in the order of
-    f, with each coefficient that cancels removed at once.  The result, and
-    every ``DomainMismatch``, is that of adding the terms up one by one.
+    One packing serves the whole call, its fields wide enough for every
+    exponent that the image of a term of f can reach.  The powers of each
+    image are built in it step by step, each one product of the last with
+    the image, up to the largest exponent of its variable in f.  The image
+    of a term is its coefficient multiplied through the powers of its
+    variables, each product cut at the least bound among D and the images
+    so far.  The term images are summed into one packed dict, in the order
+    of f, with each coefficient that cancels removed at once, and the sum is
+    unpacked once.  The result, every ``DomainMismatch`` and every
+    ``KeyError`` are those of adding the terms up one by one, each a product
+    of the powers ``sigma[vid] ** e``.
     """
     trunc = D if D is not None else f.trunc
+    top_exp: dict = {}      # each variable of f: its largest exponent in f
+    for key in f.terms:
+        for v, e in key:
+            if e > top_exp.get(v, 0):
+                top_exp[v] = e
+    images = {v: sigma[v] if trunc is None else sigma[v].truncate(trunc)
+              for v in top_exp if v in sigma}
+    # with at most one domain among the coefficients of f and the images, no
+    # product or sum can clash, and the domains need not be followed
+    doms = {_domain(c) for c in f.terms.values()}
+    doms.update(_domain(c) for img in images.values()
+                for c in img.terms.values())
+    doms.discard(None)
+    checked = len(doms) > 1
+    reach = {v: _max_exponent(img.terms) for v, img in images.items()}
+    fields = _Packing(
+        set().union(*(img.variables() for img in images.values())),
+        max((sum(e * reach.get(v, 0) for v, e in key) for key in f.terms),
+            default=0))
+    powers: dict = {}
     out: dict = {}
     bound = trunc          # the bound of the running sum
     dom = None             # the last domain the running sum took on
-    power_cache: dict = {}
     for key, coeff in f.terms.items():
-        term = MultiPoly({(): coeff}, trunc)
+        cut = trunc        # the bound of the running product
+        term = {0: coeff} if fields.limit(cut) > 0 else {}
+        d = _coeffs_domain(term.values())
         for v, e in key:
-            if v not in sigma:
-                raise KeyError(v)
-            pw = power_cache.get((v, e))
-            if pw is None:
-                img = sigma[v]
-                if trunc is not None:
-                    img = img.truncate(trunc)
-                pw = img ** e
-                power_cache[(v, e)] = pw
-            term = term * pw
-        d = _poly_domain(term)
-        if d is not None and d != dom:
-            # as with ``+``: a sum takes on a new domain only once all of
-            # its coefficients of the old one have cancelled
+            img = images[v]     # KeyError(v) when v has no image
+            if v not in powers:
+                if checked:     # a mixed image raises, as ``img ** e`` does
+                    _poly_domain(img)
+                powers[v] = _packed_powers(fields.pack(img.terms), top_exp[v],
+                                           fields.limit(img.trunc))
+            pw = powers[v][e - 1]
+            if checked:
+                dp = _coeffs_domain(c for _, c in pw)
+                if d is not None and dp is not None and d != dp:
+                    raise DomainMismatch(f"cannot combine {d} with {dp}")
+            cut = MultiPoly._combine_trunc(cut, img.trunc)
+            term = _packed_mul((kc for kc in term.items() if kc[1]), pw,
+                               fields.limit(cut))
+            if checked:
+                d = _coeffs_domain(c for c in term.values() if c)
+        if checked and d is not None and d != dom:
+            # as with ``+``: a sum takes on a new domain only once all of its
+            # coefficients of the old one have cancelled
             if dom is not None and _coeffs_domain(out.values()) is not None:
                 raise DomainMismatch(f"cannot combine {dom} with {d}")
             dom = d
-        for k, c in term.terms.items():
+        for k, c in term.items():
+            if not c:
+                continue
             if k in out:
                 c = out[k] + c
                 if not c:
                     del out[k]
                     continue
             out[k] = c
-        if term.trunc != bound:
-            bound = MultiPoly._combine_trunc(bound, term.trunc)
-            out = {k: c for k, c in out.items() if _key_degree(k) <= bound}
-    return MultiPoly._build(out, bound)
+        if cut != bound:
+            bound = MultiPoly._combine_trunc(bound, cut)
+            below = fields.limit(bound)
+            out = {k: c for k, c in out.items() if k < below}
+    return fields.unpack(out.items(), bound)
 
 
 # ---------------------------------------------------------------------------

@@ -514,14 +514,6 @@ def _split_roots(g, q):
     return []
 
 
-def _distinct_roots(f, q):
-    """The distinct roots in F_q of the cubic f, q an odd prime."""
-    f = _monic([c % q for c in f], q)
-    # gcd(w^q - w, f) is the product of (w - r) over the distinct roots r
-    wq = _powmod3((0, 1, 0), q, f, q)
-    return _split_roots(_pgcd(f, _minus(wq, (0, 1, 0), q), q), q)
-
-
 def _count_g3(q, alpha, beta, gamma, nu):
     """Solutions (x, y, z) in F_q^3 of x^2 + y^2 + z^2 = R1, y^2 + nu z^2 = R2
     and x y z - z^2 = R3, from the roots of the cubic resolvent in w = z^2."""
@@ -531,15 +523,18 @@ def _count_g3(q, alpha, beta, gamma, nu):
     # x^2 = X(w) = x0 + x1 w and y^2 = Y(w) = y0 + y1 w
     x0, x1, y0, y1 = (r1 - r2) % q, nu - 1, r2, -nu
     # squaring x y z = w + R3 gives f(w) = (w + R3)^2 - w X(w) Y(w) = 0
-    f = [r3 * r3, 2 * r3 - x0 * y0, 1 - x0 * y1 - x1 * y0, -x1 * y1]
+    f = _monic([c % q for c in (r3 * r3, 2 * r3 - x0 * y0,
+                                1 - x0 * y1 - x1 * y0, -x1 * y1)], q)
     count = (1 + _chi(x0, q)) * (1 + _chi(y0, q)) if r3 == 0 else 0
-    for w in _distinct_roots(f, q):
-        if w:
-            # x y = (w + R3)/z fixes y from x, unless it is 0
-            n = 1 + _chi(x0 + x1 * w, q)
-            if (w + r3) % q == 0:
-                n *= 1 + _chi(y0 + y1 * w, q)
-            count += (1 + _chi(w, q)) * n
+    # a root w gives z only when it is a nonzero square, and then two of
+    # them; gcd(f, w^((q-1)/2) - 1) is the product of (w - r) over those
+    half = _powmod3((0, 1, 0), (q - 1) // 2, f, q)
+    for w in _split_roots(_pgcd(f, _minus(half, (1, 0, 0), q), q), q):
+        # x y = (w + R3)/z fixes y from x, unless it is 0
+        n = 1 + _chi(x0 + x1 * w, q)
+        if (w + r3) % q == 0:
+            n *= 1 + _chi(y0 + y1 * w, q)
+        count += 2 * n
     return count
 
 
@@ -553,10 +548,12 @@ def b0_count(g: int, q: int, trials: int = 100, seed=None):
 
     At g = 2 a fibre is x^2 = d, counted by `_count_g2`.  At g = 3 it is
     the system solved by `_count_g3`: with w = z^2, the points with z = 0
-    exist only when R3 = 0, and the others lie over the nonzero roots w of a
-    cubic resolvent f, found by a gcd with w^q - w and Cantor-Zassenhaus
-    splitting, so a trial costs O(log q) operations.  A count is at most
-    3 roots x 2 square roots z x 2 sign choices of x = 12.
+    exist only when R3 = 0, and the others lie over the roots w of a cubic
+    resolvent f that are nonzero squares.  One modular power per trial finds
+    them all, as the gcd of f with w^((q-1)/2) - 1, which Tonelli-Shanks or
+    Cantor-Zassenhaus splitting then factors; a trial costs O(log q)
+    operations.  A count is at most 3 roots x 2 square roots z x 2 sign
+    choices of x = 12.
     """
     if g not in (2, 3):
         raise ValueError("point counts implemented for sizes 2 and 3")

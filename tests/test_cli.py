@@ -70,6 +70,8 @@ def test_dims_half_integer(capsys):
     ("xi --cycle 0,-1", "cycle entries"),
     ("upsilon --g 2 --levels 0,1,-2", "levels"),
     ("b0 --g 3 --q 2", "q"),
+    ("theta --g 2 --multidegree 1,x", "multidegree"),
+    ("dims --g 2 --r 1 --s abc", "s"),
 ])
 def test_error_names_the_bad_argument(capsys, argv, name):
     assert main(argv.split()) == 2

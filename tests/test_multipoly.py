@@ -30,8 +30,10 @@ from deltainv.multipoly import (
     wedge_power,
 )
 from deltainv.cli import _document
+from deltainv.delta_calculus import frobenius_lift
 from deltainv.multipoly import VarId
 from deltainv.exact_arith import TruncatedPadic
+from deltainv.serre_tate import _log_entry
 
 
 def T(l, i, j):
@@ -395,6 +397,41 @@ def test_substitute_matches_termwise_reference(data, kinds):
              for v in _RING_VARS}
     D = data.draw(st.none() | st.integers(0, 6))
     _same(substitute(f, sigma, D), _reference_substitute(f, sigma, D))
+
+
+_AS_KIND = {"int": int, "rat": Fraction,
+            "padic": lambda c: TruncatedPadic(3, 2, c)}
+
+
+def _lift_images(f, p):
+    """v -> v^p + p v' for every variable v of f, v' one level up."""
+    return {v: MultiPoly({((v, p),): 1,
+                          ((VarId(v.family, v.level + 1, v.i, v.j), 1),): p})
+            for v in f.variables()}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data(), kind=st.sampled_from(["int", "rat", "padic"]),
+       p=st.sampled_from([2, 3, 5, 7]), D=st.none() | st.integers(0, 12))
+def test_substitute_of_a_series_by_two_term_images(data, kind, p, D):
+    # a one-variable series in the shape of log(1 + x), exponents up to 12,
+    # under x -> x^p + p x': the fields must hold 12 p
+    coeffs = data.draw(st.lists(_COEFFS[kind], min_size=1, max_size=12))
+    f = MultiPoly({((_X, n),): c for n, c in enumerate(coeffs, 1)},
+                  data.draw(st.none() | st.integers(0, 12)))
+    sigma = _lift_images(f, p)
+    if data.draw(st.booleans()):
+        sigma = {v: img.map_coeffs(_AS_KIND[kind]) for v, img in sigma.items()}
+    _same(substitute(f, sigma, D), _reference_substitute(f, sigma, D))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_twice_lifted_log_series_matches_termwise_reference(p):
+    L = _log_entry(12)
+    once = frobenius_lift(L, p)
+    _same(once, _reference_substitute(L, _lift_images(L, p)))
+    _same(frobenius_lift(once, p),
+          _reference_substitute(once, _lift_images(once, p)))
 
 
 def test_substitute_images_with_different_bounds():
