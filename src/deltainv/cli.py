@@ -124,23 +124,25 @@ def _write(value, nl, out):
 
 
 def _write_poly(poly, nl, out):
-    """The terms of ``poly`` as records, each variable's quoted name
-    prefix built once."""
+    """The terms of ``poly`` as records, the line of each (variable,
+    exponent) pair built once."""
     terms = poly.terms
     if not terms:
         out.append("[]")
         return
     record = nl + "  "
     field = record + "  "
-    names = {v: var_name(v) for v in {v for key in terms for v, _ in key}}
+    pairs = {ve for key in terms for ve in key}
+    names = {v: var_name(v) for v, _ in pairs}
     if len(set(names.values())) < len(names):
         raise ValueError("two variables of a polynomial share a name")
-    prefix = {v: field + _quote(name) + ": " for v, name in names.items()}
+    piece = {(v, e): field + _quote(names[v]) + ": " + _int(e) + ","
+             for v, e in pairs}.__getitem__
     coefficient = field + '"coefficient": '
     close = record + "}"
     sep = "[" + record + "{"
     for key in sorted(terms):
-        out.append(sep + "".join([prefix[v] + _int(e) + "," for v, e in key])
+        out.append(sep + "".join(map(piece, key))
                    + coefficient + _quote(str(terms[key])) + close)
         sep = "," + record + "{"
     out.append(nl + "]")

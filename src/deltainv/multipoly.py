@@ -6,11 +6,12 @@ TruncatedPadic).  A polynomial may carry a degree bound (``trunc``); every
 operation on such a value re-applies the bound, so truncated power series are
 just polynomials with a sticky cap.
 
-Results are built in one of two ways.  The public ``MultiPoly(terms, trunc)``
+Results are built in one of three ways.  The public ``MultiPoly(terms, trunc)``
 drops every term above the bound and every zero coefficient.  Products,
 negations, coefficient maps and sums of operands with the same bound produce
 only monomials within the bound already, so they go through the private
-``MultiPoly._build``, which drops zero coefficients only.
+``MultiPoly._build``, which drops zero coefficients only, and a decoded
+packed result, already free of both, is kept as it is (``MultiPoly._wrap``).
 
 A product of two multi-term polynomials, every power (of any base, one term
 or none included), and every substitution work on packed monomials: each
@@ -19,9 +20,11 @@ enough that no sum of exponents carries, and the total degree sits above them.
 A monomial product is then one integer addition, a pair lies above the bound
 exactly when its packed sum reaches ``(trunc + 1) << top``, and a power or a
 substitution keeps its running values packed through all of its steps.  Keys
-are decoded once per output term.  When one operand of a product has a single
-term (a scalar or a monomial) its key maps the other's keys one to one, and the
-product multiplies the tuple keys directly.
+are decoded once per output term, by their nonzero fields: a run of zero
+fields is passed over in one shift, and zero coefficients are dropped in the
+same pass.  When one operand of a product has a single term (a scalar or a
+monomial) its key maps the other's keys one to one, and the product multiplies
+the tuple keys directly.
 
 Polynomials are never changed after construction, so the coefficient domain
 that ``+`` and ``*`` check (rational or p-adic) is scanned once per
@@ -186,23 +189,32 @@ class _Packing:
         return out
 
     def unpack(self, packed, trunc) -> "MultiPoly":
-        """The polynomial of ``(packed key, coefficient)`` pairs."""
+        """The polynomial of ``(packed key, coefficient)`` pairs, zero
+        coefficients dropped.  A key is decoded by its nonzero fields, read
+        from the lowest: a run of zero fields is one shift, its length read
+        off the lowest set bit."""
         width, variables = self.width, self.variables
         mask = (1 << width) - 1
         fields = (1 << self.top) - 1
         terms = {}
         for k, c in packed:
+            if not c:
+                continue
             k &= fields
             key = []
-            for v in variables:
-                if not k:
-                    break
+            i = 0
+            while k:
                 e = k & mask
                 if e:
-                    key.append((v, e))
-                k >>= width
+                    key.append((variables[i], e))
+                    k >>= width
+                    i += 1
+                else:
+                    skip = ((k & -k).bit_length() - 1) // width
+                    k >>= skip * width
+                    i += skip
             terms[tuple(key)] = c
-        return MultiPoly._build(terms, trunc)
+        return MultiPoly._wrap(terms, trunc)
 
 
 def _packed_mul(left, right, limit):
@@ -248,9 +260,14 @@ class MultiPoly:
     def _build(cls, terms, trunc) -> "MultiPoly":
         """A result whose monomials are all within ``trunc``: only zero
         coefficients are dropped."""
+        return cls._wrap({k: c for k, c in terms.items() if c}, trunc)
+
+    @classmethod
+    def _wrap(cls, terms, trunc) -> "MultiPoly":
+        """``terms``, within ``trunc`` and free of zeros, kept uncopied."""
         self = object.__new__(cls)
         self.trunc = trunc
-        self.terms = {k: c for k, c in terms.items() if c}
+        self.terms = terms
         self._dom = _UNSCANNED
         return self
 

@@ -27,6 +27,7 @@ from .multipoly import (
     MultiPoly,
     SizeTooLarge,
     VarId,
+    _Packing,
     _det_rows,
     _mat_mul,
     _order,
@@ -180,13 +181,53 @@ def theta_multidegrees(g: int, r: int):
     return sorted(out, reverse=True)
 
 
+def _leibniz(entries, counts) -> MultiPoly:
+    """The sum over permutations sigma of the n rows of sgn(sigma) times one
+    variable from each entry ``entries[i][sigma(i)]``, a list of ``(variable,
+    part)`` pairs, with exactly ``counts[l]`` factors from part l.
+
+    Rows go in one at a time, and the partial products are summed per state
+    (columns used, factors left per part) as packed keys of one ``_Packing``
+    with bound n: a factor is one integer addition, and row i in column c
+    takes the parity of the used columns above c as its sign.  The sum is
+    unpacked once.
+    """
+    fields = _Packing({v for row in entries for cell in row for v, _ in cell},
+                      len(entries))
+    unit = {v: (1 << offset) + (1 << fields.top)
+            for v, offset in fields.offsets.items()}
+    states = {(0, tuple(counts)): {0: 1}}
+    for row in entries:
+        after = {}
+        for (used, left), terms in states.items():
+            for c, cell in enumerate(row):
+                if used >> c & 1:
+                    continue
+                sign = -1 if (used >> c).bit_count() & 1 else 1
+                for v, part in cell:
+                    if not left[part]:
+                        continue
+                    out = after.setdefault(
+                        (used | 1 << c,
+                         left[:part] + (left[part] - 1,) + left[part + 1:]),
+                        {})
+                    u = unit[v]
+                    for k, x in terms.items():
+                        k += u
+                        out[k] = out.get(k, 0) + sign * x
+        states = after
+    return fields.unpack([kc for terms in states.values()
+                          for kc in terms.items()], None)
+
+
 def theta(g: int, mdeg) -> MultiPoly:
     """Coefficient of prod y_l^(m_l) in det(sum_l y_l T^(l)).
 
-    The Leibniz sum sum_sigma sgn(sigma) sum_f prod_i T^(f(i))_{i,sigma(i)}
-    over sigma in S_g and the distinct assignments f of levels to rows that
-    use level l exactly m_l times.  Its g! * multinomial(g; mdeg) products
-    are counted first and refused above ``THETA_BUDGET``.
+    The entry (i, j) of sum_l y_l T^(l) holds the variables T^(l)_ij of the
+    levels with m_l > 0, each tagged with its level, and :func:`_leibniz`
+    expands the determinant with level l giving m_l factors.  The
+    g! * multinomial(g; mdeg) Leibniz products are counted first and
+    refused above ``THETA_BUDGET``.
     """
     mdeg = tuple(mdeg)
     require_at_least(g, 1, "g")
@@ -196,42 +237,26 @@ def theta(g: int, mdeg) -> MultiPoly:
     require_within_budget(f"theta of size {g} and multidegree {mdeg}",
                           factorial(g) ** 2 // prod(map(factorial, mdeg)),
                           "products", THETA_BUDGET)
-    pairs = [(i, j) for i in range(g) for j in range(i, g)]
-    npairs = len(pairs)
-    pair_of = {(i, j): k for k, (i, j) in enumerate(pairs)}
-    # variable k is T^(k // npairs) at entry pairs[k % npairs], so sorted
-    # indices are sorted VarIds
-    assignments = set(itertools.permutations(
-        [l for l, m in enumerate(mdeg) for _ in range(m)]))
-    terms = {}
-    for sign, sigma in _signed_permutations(g):
-        # choices[i][l] is the variable T^(l) at entry (i, sigma(i))
-        choices = [[l * npairs + pair_of[min(i, s), max(i, s)]
-                    for l in range(len(mdeg))] for i, s in enumerate(sigma)]
-        for f in assignments:
-            key = tuple(sorted(map(list.__getitem__, choices, f)))
-            terms[key] = terms.get(key, 0) + sign
-    var = [VarId("T", l, i + 1, j + 1)
-           for l in range(len(mdeg)) for i, j in pairs]
-    return MultiPoly({tuple((var[k], key.count(k)) for k in dict.fromkeys(key)):
-                      c for key, c in terms.items()})
+    return _leibniz([[[(VarId("T", l, min(i, j), max(i, j)), l)
+                       for l, m in enumerate(mdeg) if m]
+                      for j in range(1, g + 1)] for i in range(1, g + 1)],
+                    mdeg)
 
 
 def upsilon(g: int, levels) -> MultiPoly:
-    """Determinant of the matrix of entry-columns at the given levels: its
-    entries are distinct variables, so each of the n! permutations of its
-    n = g(g+1)/2 rows gives its own monomial; n! above ``THETA_BUDGET`` is
-    refused."""
+    """Determinant of the matrix of entry-columns at the given levels: row
+    (i, j) holds T^(q)_ij in the column of level q.  :func:`_leibniz`
+    expands it with one part of n = g(g+1)/2 factors; its entries are
+    distinct variables, so each of the n! permutations gives its own
+    monomial, and n! above ``THETA_BUDGET`` is refused."""
     levels = _distinct_levels(levels, "levels")
     n = g * (g + 1) // 2
     if len(levels) != n:
         raise ValueError(f"need {n} levels for size {g}, got {len(levels)}")
     require_within_budget(f"upsilon of size {g}", factorial(n), "products",
                           THETA_BUDGET)
-    var = [[VarId("T", q, i, j) for q in levels]
-           for i in range(1, g + 1) for j in range(i, g + 1)]
-    return MultiPoly({tuple(sorted((var[k][c], 1) for k, c in enumerate(w))):
-                      sign for sign, w in _signed_permutations(n)})
+    return _leibniz([[[(VarId("T", q, i, j), 0)] for q in levels]
+                     for i in range(1, g + 1) for j in range(i, g + 1)], (n,))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +521,8 @@ def _minus(residue, c, q):
 
 
 def _split_roots(g, q):
-    """The roots of g, monic of degree <= 3 with distinct roots all in F_q."""
+    """The roots of g, monic of degree <= 3 with distinct roots all in F_q,
+    and at degree 3 all nonzero squares."""
     if len(g) == 2:
         return [-g[0] % q]
     if len(g) == 3:
@@ -504,9 +530,11 @@ def _split_roots(g, q):
         return [(-g[1] + s) * half % q, (-g[1] - s) * half % q]
     if len(g) == 4:
         # Cantor-Zassenhaus: (w + a)^((q-1)/2) - 1 vanishes exactly at the
-        # roots r with r + a a nonzero square; some shift a < q separates two
-        # roots, since no proper subset of F_q is invariant under translation
-        for a in range(q):
+        # roots r with r + a a nonzero square, so a = 0 cannot split roots
+        # that are all squares.  Some a splits two roots r, r', else the
+        # squares S would have S - r = S - r', invariant under translation
+        # by r' - r and so by all of F_q; that a lies in 1..q-1
+        for a in range(1, q):
             h = _pgcd(g, _minus(_powmod3((a, 1, 0), (q - 1) // 2, g, q),
                                 (1, 0, 0), q), q)
             if 1 < len(h) < 4:

@@ -17,6 +17,7 @@ from sympy.polys.matrices import DomainMatrix
 from deltainv.multipoly import (
     _det_rows,
     _mat_mul,
+    _Packing,
     DomainMismatch,
     MultiPoly,
     Tvar,
@@ -351,6 +352,44 @@ def test_empty_and_one_term_operands(trunc, coeff):
             _same(a ** n, _reference_pow(a, n))
         _same(a * coeff, _reference_mul(a, MultiPoly.constant(coeff)))
         _same(coeff * a, _reference_mul(a, MultiPoly.constant(coeff)))
+
+
+@st.composite
+def _packed_terms(draw):
+    """Variables, an exponent bound and terms in them, the keys sparse or
+    dense, some coefficients zero."""
+    n = draw(st.integers(1, 50))
+    bound = draw(st.integers(1, 127))
+    variables = [VarId("x", i, 0, 0) for i in range(n)]
+    fields = st.dictionaries(st.integers(0, n - 1), st.integers(1, bound),
+                             max_size=n)
+    keys = st.one_of(
+        fields,
+        # the last field alone, at a small and at the largest exponent
+        st.integers(1, bound).map(lambda e: {n - 1: e}),
+        st.just({n - 1: bound}),
+        # every field
+        st.lists(st.integers(1, bound), min_size=n, max_size=n).map(
+            lambda es: dict(enumerate(es))))
+    terms = draw(st.dictionaries(
+        keys.map(lambda f: tuple((variables[i], f[i]) for i in sorted(f))),
+        st.integers(-3, 3), max_size=12))
+    return variables, bound, terms
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_packed_terms())
+@example(case=([VarId("x", i, 0, 0) for i in range(50)], 127,
+               {((VarId("x", 49, 0, 0), 127),): 5, (): 0,
+                ((VarId("x", 0, 0, 0), 1), (VarId("x", 49, 0, 0), 1)): -1}))
+def test_pack_then_unpack_is_the_identity(case):
+    # unpack drops zero coefficients, and every other term comes back with
+    # its key and coefficient
+    variables, bound, terms = case
+    fields = _Packing(variables, bound)
+    out = fields.unpack(fields.pack(terms), None)
+    assert out.trunc is None
+    assert out.terms == {k: c for k, c in terms.items() if c}
 
 
 # ---------------------------------------------------------------- substitution

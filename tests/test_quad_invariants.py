@@ -339,6 +339,65 @@ def test_theta_beyond_six_rows_is_a_det_coefficient():
     assert theta(g, (6, 1)).evaluate(point) == int(expect)
 
 
+@pytest.mark.parametrize("mdeg", [(2, 2, 2), (3, 2, 1), (2, 2, 1, 1)],
+                         ids=str)
+def test_theta_at_six_rows_with_three_and_four_levels(mdeg):
+    # oracle: the coefficient of y^mdeg in sympy's det(sum_l y_l A_l) for a
+    # seeded tuple of integer symmetric 6x6 matrices
+    rng = random.Random(sum(mdeg) * 10 + len(mdeg))
+    g = 6
+    ys = sympy.symbols(f"y0:{len(mdeg)}")
+    mats = [sympy.zeros(g, g) for _ in mdeg]
+    point = {}
+    for i in range(g):
+        for j in range(i, g):
+            for l, M in enumerate(mats):
+                M[i, j] = M[j, i] = rng.randrange(-5, 6)
+                point[VarId("T", l, i + 1, j + 1)] = int(M[i, j])
+    pencil = DomainMatrix.from_Matrix(
+        sum((y * M for y, M in zip(ys, mats)), sympy.zeros(g, g)))
+    det = pencil.domain.to_sympy(pencil.det())
+    expect = sympy.Poly(det, *ys).coeff_monomial(
+        prod(y ** m for y, m in zip(ys, mdeg)))
+    assert theta(g, mdeg).evaluate(point) == int(expect)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_leibniz_of_distinct_entries_is_the_cofactor_determinant(n):
+    # with one variable per entry the expansion is the generic determinant,
+    # so every sign of S_n shows; with each entry split into two parts it is
+    # the coefficient of s^k t^(n-k) in det(s X + t Y)
+    X = [[VarId("X", 0, i, j) for j in range(n)] for i in range(n)]
+    Y = [[VarId("X", 1, i, j) for j in range(n)] for i in range(n)]
+    generic = _det_rows([[MultiPoly.var(v) for v in row] for row in X])
+    assert quad_invariants._leibniz(
+        [[[(v, 0)] for v in row] for row in X], (n,)).terms == generic.terms
+    s, t = MultiPoly.var(VarId("s", 0, 0, 0)), MultiPoly.var(VarId("t", 0, 0, 0))
+    pencil = _det_rows([[s * MultiPoly.var(x) + t * MultiPoly.var(y)
+                         for x, y in zip(rx, ry)] for rx, ry in zip(X, Y)])
+    for k in range(n + 1):
+        expect = {tuple(p for p in key if p[0].family == "X"): c
+                  for key, c in pencil.terms.items()
+                  if dict((v.family, e) for v, e in key).get("s", 0) == k}
+        got = quad_invariants._leibniz(
+            [[[(x, 0), (y, 1)] for x, y in zip(rx, ry)]
+             for rx, ry in zip(X, Y)], (k, n - k))
+        assert got.terms == expect
+
+
+def test_upsilon_evaluates_as_a_column_determinant():
+    # oracle: sympy's determinant of the 6 x 6 entry-column matrix at a
+    # seeded integer point, levels out of order
+    rng = random.Random(5)
+    levels = (3, 0, 7, 1, 5, 2)
+    rows = [(i, j) for i in range(1, 4) for j in range(i, 4)]
+    point = {VarId("T", q, i, j): rng.randrange(-9, 10)
+             for q in levels for i, j in rows}
+    M = sympy.Matrix([[point[VarId("T", q, i, j)] for q in levels]
+                      for i, j in rows])
+    assert upsilon(3, levels).evaluate(point) == M.det()
+
+
 @pytest.mark.parametrize("call,match", [
     (lambda: theta(2, (1, 0)), "sum to the matrix size"),
     (lambda: upsilon(2, (0, 1)), "need 3 levels"),
