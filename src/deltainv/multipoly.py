@@ -433,72 +433,54 @@ def homogeneous_component(f: MultiPoly, d: int) -> MultiPoly:
 def substitute(f: MultiPoly, sigma: dict, D: int | None = None) -> MultiPoly:
     """Replace each variable of f by ``sigma[vid]``.
 
-    Raises KeyError when a variable of f has no image.  An optional degree
-    cap D truncates the images and the result.
+    An optional degree cap D, else the bound of f, truncates the images, and
+    the result is bounded by that cap lowered to the bound of each image.
+    The inputs are checked once: when the coefficients of f and of the
+    truncated images of its variables hold more than one domain, the call
+    raises ``DomainMismatch``, whether or not the clashing terms would meet
+    below the bound.  A variable of f with no image then raises KeyError.
 
     One packing serves the whole call, its fields wide enough for every
     exponent that the image of a term of f can reach.  The powers of each
-    image are built in it step by step, each one product of the last with
-    the image, up to the largest exponent of its variable in f.  The image
-    of a term is its coefficient multiplied through the powers of its
-    variables, each product cut at the least bound among D and the images
-    so far.  The term images are summed into one packed dict, in the order
-    of f, with each coefficient that cancels removed at once, and the sum is
-    unpacked once.  The result, every ``DomainMismatch`` and every
-    ``KeyError`` are those of adding the terms up one by one, each a product
-    of the powers ``sigma[vid] ** e``.
+    image are built in it first, each one product of the last with the
+    image, up to the largest exponent of its variable in f.  The image of a
+    term is its coefficient multiplied through the powers of its variables,
+    every product cut at the bound.  The term images are summed into one
+    packed dict, in the order of f, with each coefficient that cancels
+    removed at once, and the sum is unpacked once: its value is that of
+    adding the term images up one by one.
     """
-    trunc = D if D is not None else f.trunc
+    bound = D if D is not None else f.trunc
     top_exp: dict = {}      # each variable of f: its largest exponent in f
     for key in f.terms:
         for v, e in key:
             if e > top_exp.get(v, 0):
                 top_exp[v] = e
-    images = {v: sigma[v] if trunc is None else sigma[v].truncate(trunc)
+    images = {v: sigma[v] if bound is None else sigma[v].truncate(bound)
               for v in top_exp if v in sigma}
-    # with at most one domain among the coefficients of f and the images, no
-    # product or sum can clash, and the domains need not be followed
     doms = {_domain(c) for c in f.terms.values()}
     doms.update(_domain(c) for img in images.values()
                 for c in img.terms.values())
     doms.discard(None)
-    checked = len(doms) > 1
+    if len(doms) > 1:
+        raise DomainMismatch("mixed coefficients "
+                             + " and ".join(sorted(map(str, doms))))
+    for img in images.values():
+        bound = MultiPoly._combine_trunc(bound, img.trunc)
     reach = {v: _max_exponent(img.terms) for v, img in images.items()}
     fields = _Packing(
         set().union(*(img.variables() for img in images.values())),
         max((sum(e * reach.get(v, 0) for v, e in key) for key in f.terms),
             default=0))
-    powers: dict = {}
+    limit = fields.limit(bound)
+    powers = {v: _packed_powers(fields.pack(images[v].terms), e, limit)
+              for v, e in top_exp.items()}  # KeyError(v) when v has no image
     out: dict = {}
-    bound = trunc          # the bound of the running sum
-    dom = None             # the last domain the running sum took on
     for key, coeff in f.terms.items():
-        cut = trunc        # the bound of the running product
-        term = {0: coeff} if fields.limit(cut) > 0 else {}
-        d = _coeffs_domain(term.values())
+        term = {0: coeff} if limit > 0 else {}
         for v, e in key:
-            img = images[v]     # KeyError(v) when v has no image
-            if v not in powers:
-                if checked:     # a mixed image raises, as ``img ** e`` does
-                    _poly_domain(img)
-                powers[v] = _packed_powers(fields.pack(img.terms), top_exp[v],
-                                           fields.limit(img.trunc))
-            pw = powers[v][e - 1]
-            if checked:
-                dp = _coeffs_domain(c for _, c in pw)
-                if d is not None and dp is not None and d != dp:
-                    raise DomainMismatch(f"cannot combine {d} with {dp}")
-            cut = MultiPoly._combine_trunc(cut, img.trunc)
-            term = _packed_mul((kc for kc in term.items() if kc[1]), pw,
-                               fields.limit(cut))
-            if checked:
-                d = _coeffs_domain(c for c in term.values() if c)
-        if checked and d is not None and d != dom:
-            # as with ``+``: a sum takes on a new domain only once all of its
-            # coefficients of the old one have cancelled
-            if dom is not None and _coeffs_domain(out.values()) is not None:
-                raise DomainMismatch(f"cannot combine {dom} with {d}")
-            dom = d
+            term = _packed_mul((kc for kc in term.items() if kc[1]),
+                               powers[v][e - 1], limit)
         for k, c in term.items():
             if not c:
                 continue
@@ -508,10 +490,6 @@ def substitute(f: MultiPoly, sigma: dict, D: int | None = None) -> MultiPoly:
                     del out[k]
                     continue
             out[k] = c
-        if cut != bound:
-            bound = MultiPoly._combine_trunc(bound, cut)
-            below = fields.limit(bound)
-            out = {k: c for k, c in out.items() if k < below}
     return fields.unpack(out.items(), bound)
 
 

@@ -38,7 +38,8 @@ from .multipoly import (
 )
 
 
-# term products of one theta, upsilon or conj_invariants.y_invariant
+# term products of one theta, upsilon, xi target (n * 2^n for n levels:
+# 3-4 s at n = 15, the largest accepted) or conj_invariants.y_invariant
 THETA_BUDGET = 10 ** 6
 # steps of the weight-count DP behind one dimension, estimated as
 # g (2s + g)^g (remaining weights times counts per weight): about 10 s at
@@ -194,8 +195,10 @@ def _leibniz(entries, counts) -> MultiPoly:
     """
     fields = _Packing({v for row in entries for cell in row for v, _ in cell},
                       len(entries))
-    unit = {v: (1 << offset) + (1 << fields.top)
-            for v, offset in fields.offsets.items()}
+    # the packed key of each variable alone, the variable riding as its
+    # coefficient
+    unit = {v: k for k, v in fields.pack({((v, 1),): v
+                                          for v in fields.variables})}
     states = {(0, tuple(counts)): {0: 1}}
     for row in entries:
         after = {}
@@ -283,11 +286,16 @@ def pluecker_y(i: int, j: int) -> MultiPoly:
 
 
 def xi_target(cycle) -> MultiPoly:
-    """Minus the circular product of pair brackets along the cycle."""
+    """Minus the circular product of pair brackets along the cycle.  The n
+    two-term brackets give up to 2^n terms, so the n * 2^n term products are
+    counted first and refused above ``THETA_BUDGET``."""
     cycle = tuple(cycle)
+    n = len(cycle)
+    require_within_budget(f"xi of {n} levels", n * 2 ** n, "term products",
+                          THETA_BUDGET)
     out = MultiPoly.constant(-1)
     for k, q in enumerate(cycle):
-        out = out * pluecker_y(q, cycle[(k + 1) % len(cycle)])
+        out = out * pluecker_y(q, cycle[(k + 1) % n])
     return out
 
 

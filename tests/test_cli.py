@@ -257,6 +257,13 @@ def test_rank_refuses_work_over_the_budget(capsys):
     assert f"over the budget {conj_invariants.RANK_BUDGET}" in err
 
 
+def test_xi_over_the_budget_is_refused(capsys):
+    assert main(["xi", "--cycle", ",".join(map(str, range(16)))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: xi of 16 levels needs 1048576 ")
+
+
 def test_expand_emits_entries(capsys):
     code, out = run_cli(capsys, "expand", "--kind", "f_angle", "--index", "1",
                         "--g", "1", "--p", "3", "--prec", "2", "--deg", "3")

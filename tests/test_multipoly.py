@@ -4,9 +4,14 @@ Oracles: sympy (determinants, adjugates, characteristic polynomials on random
 integer matrices) and hand expansion for the small fixed cases.
 """
 
+import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -188,16 +193,80 @@ def test_substitute_domain_mismatch():
     f = MultiPoly.var(x) + MultiPoly.var(y) + MultiPoly.var(z)
     with pytest.raises(DomainMismatch):
         substitute(f, {x: u * half, y: u * 3, z: u * padic})
-    # the rational images cancel in the running sum before the p-adic one
-    # arrives, so the sum has no domain left to clash with
-    got = substitute(f, {x: u * half, y: u * -half, z: u * padic})
-    assert got.terms == {((VarId("T", 1, 1, 1), 1),): padic}
+    # the rational images cancel in the sum before the p-adic one arrives,
+    # but the inputs hold both domains, and they are checked before any sum
+    with pytest.raises(DomainMismatch):
+        substitute(f, {x: u * half, y: u * -half, z: u * padic})
     # a p-adic coefficient of f against rational images
     g = MultiPoly.var(x) * padic + MultiPoly.var(y) * padic
     with pytest.raises(DomainMismatch):
         substitute(g, {x: u * half + 1, y: u})
     with pytest.raises(DomainMismatch):
         substitute(MultiPoly.var(x) * padic, {x: u * half + 1})
+
+
+def test_substitute_checks_its_inputs_once():
+    x, y, z = (VarId("T", 0, 1, 1), VarId("T", 0, 1, 2), VarId("T", 0, 2, 2))
+    u, w = T(1, 1, 1), T(1, 2, 2)
+    half, padic = Fraction(1, 2), TruncatedPadic(3, 2, 1)
+    sigma = {x: u * half, y: u + w, z: w * padic}
+    # every ordering of the terms of f meets the same clash, named the same
+    terms = [(((x, 1),), 1), (((y, 1),), Fraction(1, 3)), (((z, 2),), 1),
+             (((x, 1), (z, 1)), 2)]
+    for order in itertools.permutations(terms):
+        with pytest.raises(DomainMismatch, match=r"^mixed coefficients "
+                           r"\('padic', 3, 2\) and rat$"):
+            substitute(MultiPoly(dict(order)), sigma)
+    # the clash is found before a missing image
+    with pytest.raises(DomainMismatch):
+        substitute(MultiPoly.var(x) + MultiPoly.var(y) + MultiPoly.var(z),
+                   {x: u * half, z: w * padic})
+    # a clash only in a product above the bound: the image of y z has
+    # degree 3
+    f = MultiPoly.var(x) + MultiPoly.var(y) * MultiPoly.var(z)
+    above = {x: u * half, y: u, z: u * w * padic}
+    for D, bounded in [(2, f), (None, f.truncate(2))]:
+        with pytest.raises(DomainMismatch):
+            substitute(bounded, above, D)
+    # a clash only in image terms that the bound cuts away is no clash
+    mixed = MultiPoly({((VarId("T", 1, 1, 1), 1),): half,
+                       ((VarId("T", 1, 2, 2), 2),): padic})
+    g = MultiPoly.var(x) * 3 + MultiPoly.var(y)
+    for D, bounded in [(1, g), (None, g.truncate(1))]:
+        got = substitute(bounded, {x: mixed, y: u}, D)
+        _same(got, _reference_substitute(bounded, {x: mixed, y: u}, D))
+        assert got.terms == {((VarId("T", 1, 1, 1), 1),): Fraction(5, 2)}
+    with pytest.raises(DomainMismatch):
+        substitute(g, {x: mixed, y: u})
+
+
+_MIXED_MESSAGE = """
+from fractions import Fraction
+from deltainv.exact_arith import TruncatedPadic
+from deltainv.multipoly import MultiPoly, Tvar, VarId, substitute
+u = Tvar(1, 1, 1)
+f = MultiPoly({((VarId("T", 0, 1, 1), 1),): Fraction(1, 2),
+               ((VarId("T", 0, 2, 2), 1),): 1})
+try:
+    substitute(f, {VarId("T", 0, 1, 1): u * TruncatedPadic(3, 2, 1),
+                   VarId("T", 0, 2, 2): u * TruncatedPadic(5, 3, 1)})
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_substitute_mismatch_message_is_independent_of_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    messages = []
+    for hash_seed in ("1", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _MIXED_MESSAGE], env=env,
+                             capture_output=True, text=True, check=True)
+        messages.append(run.stdout)
+    assert messages == ["mixed coefficients ('padic', 3, 2) and "
+                        "('padic', 5, 3) and rat\n"] * 2
 
 
 # ------------------------------------------- products against the pairwise way
@@ -436,6 +505,24 @@ def test_substitute_matches_termwise_reference(data, kinds):
              for v in _RING_VARS}
     D = data.draw(st.none() | st.integers(0, 6))
     _same(substitute(f, sigma, D), _reference_substitute(f, sigma, D))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data(), kinds=st.sampled_from([("rat", "padic"),
+                                             ("padic", "rat")]))
+def test_substitute_raises_exactly_when_the_inputs_mix_domains(data, kinds):
+    f = data.draw(_coeff_polys(kinds[0], max_size=6))
+    sigma = {v: data.draw(_coeff_polys(kinds[1], max_exp=1, max_size=3))
+             for v in _RING_VARS}
+    D = data.draw(st.none() | st.integers(0, 6))
+    trunc = D if D is not None else f.trunc
+    images = [sigma[v] if trunc is None else sigma[v].truncate(trunc)
+              for v in f.variables()]
+    if len({type(c) for p in [f, *images] for c in p.terms.values()}) > 1:
+        with pytest.raises(DomainMismatch):
+            substitute(f, sigma, D)
+    else:
+        _same(substitute(f, sigma, D), _reference_substitute(f, sigma, D))
 
 
 _AS_KIND = {"int": int, "rat": Fraction,

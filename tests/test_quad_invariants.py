@@ -529,6 +529,25 @@ def test_xi_lift_rejects_repeated_levels():
         xi_lift((0, 1, 0))
 
 
+class _Expanded(Exception):
+    pass
+
+
+def test_xi_refuses_over_budget_before_expanding(monkeypatch):
+    # 16 * 2^16 = 1048576 term products, which would take several seconds;
+    # the refusal names both numbers and comes before the first bracket
+    def bracket(i, j):
+        raise _Expanded
+    monkeypatch.setattr(quad_invariants, "pluecker_y", bracket)
+    for call in (xi_target, xi_lift):
+        with pytest.raises(SizeTooLarge, match=f"1048576.*{THETA_BUDGET}"):
+            call(range(16))
+    # 15 * 2^15 = 491520 is inside the budget: the estimate passes, and the
+    # expansion is reached without being run
+    with pytest.raises(_Expanded):
+        xi_target(range(15))
+
+
 def test_xi_target_is_minus_circular_product():
     y01, y12, y20 = pluecker_y(0, 1), pluecker_y(1, 2), pluecker_y(2, 0)
     assert xi_target((0, 1, 2)) == y01 * y12 * y20 * (-1)
