@@ -22,9 +22,12 @@ exactly when its packed sum reaches ``(trunc + 1) << top``, and a power or a
 substitution keeps its running values packed through all of its steps.  Keys
 are decoded once per output term, by their nonzero fields: a run of zero
 fields is passed over in one shift, and zero coefficients are dropped in the
-same pass.  When one operand of a product has a single term (a scalar or a
-monomial) its key maps the other's keys one to one, and the product multiplies
-the tuple keys directly.
+same pass.  A key whose fields span more than one int digit is decoded by
+chunks of whole fields, each at most one digit wide and masked in place; the
+output terms of one result share most of their chunks, so each distinct
+chunk is decoded once per call.  When one operand of a product has a single
+term (a scalar or a monomial) its key maps the other's keys one to one, and
+the product multiplies the tuple keys directly.
 
 Polynomials are never changed after construction, so the coefficient domain
 that ``+`` and ``*`` check (rational or p-adic) is scanned once per
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
@@ -146,6 +150,12 @@ def _key_mul(k1, k2):
     return tuple(sorted(exps.items()))
 
 
+# the bits of one digit of a CPython int (30 on 64-bit builds): a packed key
+# whose fields fit in one digit is decoded whole, a wider one by chunks of
+# at most one digit each
+_DIGIT_BITS = sys.int_info.bits_per_digit
+
+
 def _max_exponent(terms) -> int:
     return max((e for key in terms for _, e in key), default=0)
 
@@ -190,17 +200,20 @@ class _Packing:
 
     def unpack(self, packed, trunc) -> "MultiPoly":
         """The polynomial of ``(packed key, coefficient)`` pairs, zero
-        coefficients dropped.  A key is decoded by its nonzero fields, read
-        from the lowest: a run of zero fields is one shift, its length read
-        off the lowest set bit."""
-        width, variables = self.width, self.variables
+        coefficients dropped and the degree field ignored.
+
+        A key is decoded by its nonzero fields, read from the lowest: a run
+        of zero fields is one shift, its length read off the lowest set bit.
+        Keys whose fields fit in one int digit are decoded whole.  Wider keys
+        are cut, in place, into chunks of as many whole fields as one digit
+        holds; the chunks of the keys of one call repeat, so each distinct
+        nonzero chunk is decoded once, into a memo that lives for the call,
+        and a key is the concatenation of its chunks' pairs.
+        """
+        width, variables, top = self.width, self.variables, self.top
         mask = (1 << width) - 1
-        fields = (1 << self.top) - 1
-        terms = {}
-        for k, c in packed:
-            if not c:
-                continue
-            k &= fields
+
+        def decode(k):
             key = []
             i = 0
             while k:
@@ -213,7 +226,29 @@ class _Packing:
                     skip = ((k & -k).bit_length() - 1) // width
                     k >>= skip * width
                     i += skip
-            terms[tuple(key)] = c
+            return tuple(key)
+
+        fields = (1 << top) - 1
+        if top <= _DIGIT_BITS:
+            return MultiPoly._wrap({decode(k & fields): c
+                                    for k, c in packed if c}, trunc)
+        step = max(_DIGIT_BITS // width, 1) * width
+        chunks = [fields & (((1 << step) - 1) << lo)
+                  for lo in range(0, top, step)]
+        memo = {}
+        terms = {}
+        for k, c in packed:
+            if not c:
+                continue
+            key = ()
+            for m in chunks:
+                part = k & m
+                if part:
+                    pairs = memo.get(part)
+                    if pairs is None:
+                        pairs = memo[part] = decode(part)
+                    key += pairs
+            terms[key] = c
         return MultiPoly._wrap(terms, trunc)
 
 
@@ -300,7 +335,9 @@ class MultiPoly:
         return self.terms.get((), 0)
 
     def truncate(self, D: int) -> "MultiPoly":
-        return MultiPoly(self.terms, trunc=D)
+        """The terms of degree at most D, under the lower of D and the bound
+        already carried: a cap never claims precision the value lacks."""
+        return MultiPoly(self.terms, trunc=self._combine_trunc(self.trunc, D))
 
     def map_coeffs(self, fn) -> "MultiPoly":
         return MultiPoly._build({k: fn(c) for k, c in self.terms.items()},

@@ -38,8 +38,8 @@ from .multipoly import (
 )
 
 
-# term products of one theta, upsilon, xi target (n * 2^n for n levels:
-# 3-4 s at n = 15, the largest accepted) or conj_invariants.y_invariant
+# term products of one theta, upsilon, xi (n * 2^n for n levels, n = 15 the
+# largest accepted) or conj_invariants.y_invariant
 THETA_BUDGET = 10 ** 6
 # steps of the weight-count DP behind one dimension, estimated as
 # g (2s + g)^g (remaining weights times counts per weight): about 10 s at
@@ -285,14 +285,19 @@ def pluecker_y(i: int, j: int) -> MultiPoly:
     return uvar(i) * vvar(j) - vvar(i) * uvar(j)
 
 
-def xi_target(cycle) -> MultiPoly:
-    """Minus the circular product of pair brackets along the cycle.  The n
-    two-term brackets give up to 2^n terms, so the n * 2^n term products are
-    counted first and refused above ``THETA_BUDGET``."""
-    cycle = tuple(cycle)
-    n = len(cycle)
+def _require_xi_budget(n: int):
+    """Refuse a cycle of n levels: its n two-term brackets give up to 2^n
+    terms, n * 2^n term products, counted against ``THETA_BUDGET``."""
     require_within_budget(f"xi of {n} levels", n * 2 ** n, "term products",
                           THETA_BUDGET)
+
+
+def xi_target(cycle) -> MultiPoly:
+    """Minus the circular product of pair brackets along the cycle, the
+    product refused first by :func:`_require_xi_budget`."""
+    cycle = tuple(cycle)
+    n = len(cycle)
+    _require_xi_budget(n)
     out = MultiPoly.constant(-1)
     for k, q in enumerate(cycle):
         out = out * pluecker_y(q, cycle[(k + 1) % n])
@@ -302,18 +307,26 @@ def xi_target(cycle) -> MultiPoly:
 def xi_lift(cycle) -> MultiPoly:
     """The unique multilinear preimage of ``xi_target(cycle)``.
 
-    Each level lies in exactly two brackets of the cycle, so every term of
-    the target has degree 2 in (u_l, v_l) at each level.  The rank-one map
-    sends T_11, T_12, T_22 to u^2, uv, v^2, so the preimage rewrites each
-    term level by level and keeps its coefficient.
+    Bracket k of the cycle q_0, ..., q_(n-1) is u_(q_k) v_(q_(k+1)) - v_(q_k)
+    u_(q_(k+1)); let s_k = 1 when a term takes its second product.  Level q_k
+    lies in brackets k and k - 1, so the term has u-degree (1 - s_k) +
+    s_(k-1) and v-degree 2 minus that at q_k, and coefficient -(-1)^|s|.
+    The rank-one map sends T_11, T_12, T_22 to u^2, uv, v^2, so each of the
+    2^n sign choices gives one T-monomial, with one entry per level, and the
+    preimage sums them without expanding the target.  The cycle is refused
+    first by :func:`_require_xi_budget`.
     """
     cycle = _distinct_levels(cycle, "cycle entries")
-    entry_of = {2: (1, 1), 1: (1, 2), 0: (2, 2)}      # u-degree -> (i, j)
+    _require_xi_budget(len(cycle))
+    # each level's entry (T_22, T_12, T_11) by its u-degree 0, 1, 2
+    entries = [[(VarId("T", q, *ij), 1) for ij in ((2, 2), (1, 2), (1, 1))]
+               for q in cycle]
+    order = sorted(range(len(cycle)), key=cycle.__getitem__)
     out = {}
-    for key, coeff in xi_target(cycle).terms.items():
-        u_deg = {v.level: e for v, e in key if v.family == "u"}
-        out[tuple((VarId("T", level, *entry_of[u_deg.get(level, 0)]), 1)
-                  for level in sorted(cycle))] = coeff
+    for s in itertools.product((0, 1), repeat=len(cycle)):
+        key = tuple(entries[k][1 - s[k] + s[k - 1]] for k in order)
+        c = 1 if sum(s) & 1 else -1
+        out[key] = out.get(key, 0) + c
     return MultiPoly(out)
 
 

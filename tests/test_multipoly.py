@@ -427,8 +427,8 @@ def test_empty_and_one_term_operands(trunc, coeff):
 def _packed_terms(draw):
     """Variables, an exponent bound and terms in them, the keys sparse or
     dense, some coefficients zero."""
-    n = draw(st.integers(1, 50))
-    bound = draw(st.integers(1, 127))
+    n = draw(st.integers(1, 60))
+    bound = draw(st.integers(1, 255))       # fields 1 to 8 bits wide
     variables = [VarId("x", i, 0, 0) for i in range(n)]
     fields = st.dictionaries(st.integers(0, n - 1), st.integers(1, bound),
                              max_size=n)
@@ -446,17 +446,29 @@ def _packed_terms(draw):
     return variables, bound, terms
 
 
+def _x(i, e):
+    return VarId("x", i, 0, 0), e
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(case=_packed_terms())
+@given(case=_packed_terms(), high=st.integers(0, 2 ** 70))
 @example(case=([VarId("x", i, 0, 0) for i in range(50)], 127,
-               {((VarId("x", 49, 0, 0), 127),): 5, (): 0,
-                ((VarId("x", 0, 0, 0), 1), (VarId("x", 49, 0, 0), 1)): -1}))
-def test_pack_then_unpack_is_the_identity(case):
-    # unpack drops zero coefficients, and every other term comes back with
-    # its key and coefficient
+               {(_x(49, 127),): 5, (): 0, (_x(0, 1), _x(49, 1)): -1}),
+         high=0)
+# 8-bit fields, three to a chunk: zero runs across the chunk boundaries at
+# fields 3 and 6, a boundary between nonzero fields 2 and 3, the last field
+@example(case=([VarId("x", i, 0, 0) for i in range(60)], 255,
+               {(_x(2, 1), _x(7, 255)): 3, (_x(2, 5), _x(3, 1)): -2,
+                (_x(59, 255),): 1, (): 4, (_x(0, 1),): 0}),
+         high=2 ** 70)
+def test_pack_then_unpack_is_the_identity(case, high):
+    # unpack drops zero coefficients, ignores the degree field, and every
+    # other term comes back with its key and coefficient; the keys span one
+    # int digit or many, so both the whole and the chunked decode run
     variables, bound, terms = case
     fields = _Packing(variables, bound)
-    out = fields.unpack(fields.pack(terms), None)
+    packed = [(k + (high << fields.top), c) for k, c in fields.pack(terms)]
+    out = fields.unpack(packed, None)
     assert out.trunc is None
     assert out.terms == {k: c for k, c in terms.items() if c}
 
@@ -489,7 +501,8 @@ def _reference_substitute(f, sigma, D=None):
     for key, coeff in f.terms.items():
         term = MultiPoly({(): coeff}, trunc)
         for v, e in key:
-            img = sigma[v] if trunc is None else sigma[v].truncate(trunc)
+            img = MultiPoly(sigma[v].terms,
+                            MultiPoly._combine_trunc(trunc, sigma[v].trunc))
             term = _reference_mul(term, _reference_pow(img, e))
         total = _reference_add(total, term)
     return total
@@ -568,6 +581,31 @@ def test_substitute_images_with_different_bounds():
     got = substitute(f, sigma)
     _same(got, _reference_substitute(f, sigma))
     assert got.trunc == 2
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(f=_coeff_polys("int", max_size=6),
+       images=st.lists(_coeff_polys("int", max_exp=1, max_size=3),
+                       min_size=len(_RING_VARS), max_size=len(_RING_VARS)),
+       D=st.none() | st.integers(0, 6))
+# a cap above the image's bound: x^3 under x -> u, bounded at 2, is 0
+@example(f=MultiPoly.var(_RING_VARS[0]) ** 3,
+         images=[T(1, 1, 1).truncate(2)] * len(_RING_VARS), D=5)
+def test_substitute_bound_never_exceeds_an_image_bound(f, images, D):
+    sigma = dict(zip(_RING_VARS, images))
+    got = substitute(f, sigma, D)
+    for v in f.variables():
+        if sigma[v].trunc is not None:
+            assert got.trunc is not None and got.trunc <= sigma[v].trunc
+    if D is not None:
+        assert got.trunc <= D
+
+
+def test_truncate_keeps_a_lower_bound():
+    u = T(1, 1, 1)
+    assert u.truncate(2).truncate(5).trunc == 2
+    assert u.truncate(5).truncate(2).trunc == 2
+    assert u.truncate(3).trunc == 3
 
 
 def test_det_invariant_under_unimodular_congruence():

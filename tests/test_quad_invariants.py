@@ -523,6 +523,29 @@ def test_xi_lift_is_a_multilinear_integer_preimage(cycle):
         assert type(coeff) is int
 
 
+def _xi_lift_by_rewriting(cycle):
+    """The lift read off the expanded target: each term's u-degree at each
+    level names the entry T_11, T_12 or T_22 of that level."""
+    entry_of = {2: (1, 1), 1: (1, 2), 0: (2, 2)}
+    out = {}
+    for key, coeff in xi_target(cycle).terms.items():
+        u_deg = {v.level: e for v, e in key if v.family == "u"}
+        out[tuple((VarId("T", level, *entry_of[u_deg.get(level, 0)]), 1)
+                  for level in sorted(cycle))] = coeff
+    return MultiPoly(out)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_xi_lift_matches_the_rewritten_target(n):
+    rng = random.Random(1000 + n)
+    for cycle in (tuple(range(n)), tuple(rng.sample(range(3 * n + 1), n))):
+        got = xi_lift(cycle)
+        assert got.terms == _xi_lift_by_rewriting(cycle).terms
+        # the two constant sign choices meet on the all-T_12 monomial, where
+        # they cancel for odd n and add up for even n
+        assert len(got.terms) == 2 ** n - (2 if n % 2 else 1)
+
+
 def test_xi_lift_rejects_repeated_levels():
     with pytest.raises(ValueError, match=r"^cycle entries must be distinct, "
                        r"got \(0, 1, 0\)$"):
@@ -535,17 +558,20 @@ class _Expanded(Exception):
 
 def test_xi_refuses_over_budget_before_expanding(monkeypatch):
     # 16 * 2^16 = 1048576 term products, which would take several seconds;
-    # the refusal names both numbers and comes before the first bracket
-    def bracket(i, j):
+    # the refusal names both numbers and comes before the first bracket of
+    # the target, and before the lift builds its first entry
+    def expanded(*args):
         raise _Expanded
-    monkeypatch.setattr(quad_invariants, "pluecker_y", bracket)
+    monkeypatch.setattr(quad_invariants, "pluecker_y", expanded)
+    monkeypatch.setattr(quad_invariants, "VarId", expanded)
     for call in (xi_target, xi_lift):
         with pytest.raises(SizeTooLarge, match=f"1048576.*{THETA_BUDGET}"):
             call(range(16))
     # 15 * 2^15 = 491520 is inside the budget: the estimate passes, and the
     # expansion is reached without being run
-    with pytest.raises(_Expanded):
-        xi_target(range(15))
+    for call in (xi_target, xi_lift):
+        with pytest.raises(_Expanded):
+            call(range(15))
 
 
 def test_xi_target_is_minus_circular_product():
