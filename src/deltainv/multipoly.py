@@ -7,14 +7,16 @@ operation on such a value re-applies the bound, so truncated power series are
 just polynomials with a sticky cap.
 
 Results are built in one of three ways.  The public ``MultiPoly(terms, trunc)``
-drops every term above the bound and every zero coefficient.  Products,
-negations, coefficient maps and sums of operands with the same bound produce
-only monomials within the bound already, so they go through the private
-``MultiPoly._build``, which drops zero coefficients only, and a decoded
-packed result, already free of both, is kept as it is (``MultiPoly._wrap``).
+drops every term above the bound and every zero coefficient.  Negations,
+coefficient maps, and sums and scalar products whose operands carry the
+result's bound produce only monomials within the bound already, so they go
+through the private ``MultiPoly._build``, which drops zero coefficients only,
+and a decoded packed result, already free of both, is kept as it is
+(``MultiPoly._wrap``).
 
-A product of two multi-term polynomials, every power (of any base, one term
-or none included), and every substitution work on packed monomials: each
+A product with a scalar (a polynomial whose only key is ``()``) scales the
+other operand's coefficients.  Every other product (one term or none
+included), every power and every substitution work on packed monomials: each
 variable of the operands gets a fixed-width exponent field of one int, wide
 enough that no sum of exponents carries, and the total degree sits above them.
 A monomial product is then one integer addition, a pair lies above the bound
@@ -25,19 +27,18 @@ fields is passed over in one shift, and zero coefficients are dropped in the
 same pass.  A key whose fields span more than one int digit is decoded by
 chunks of whole fields, each at most one digit wide and masked in place; the
 output terms of one result share most of their chunks, so each distinct
-chunk is decoded once per call.  When one operand of a product has a single
-term (a scalar or a monomial) its key maps the other's keys one to one, and
-the product multiplies the tuple keys directly.
+chunk is decoded once per call.
 
 Polynomials are never changed after construction, so the coefficient domain
-that ``+`` and ``*`` check (rational or p-adic) is scanned once per
-polynomial, from the coefficients it holds, and kept.
+(rational or p-adic) of each is scanned once, from the coefficients it holds,
+and kept.  ``+`` and ``*`` compare the two operands' domains; ``substitute``
+asks for one domain among f and its truncated images.  A polynomial or a
+substitution holding two domains raises one message, the domains sorted.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -104,19 +105,16 @@ def _domain(coeff):
     return None
 
 
-def _coeffs_domain(coeffs):
-    dom = None
-    for c in coeffs:
-        if type(c) is int:
-            continue
-        d = _domain(c)
-        if d is None:
-            continue
-        if dom is None:
-            dom = d
-        elif dom != d:
-            raise DomainMismatch(f"mixed coefficients {dom} and {d}")
-    return dom
+def _one_domain(doms):
+    """The one coefficient domain among ``doms``, ``None`` dropped; raise
+    ``DomainMismatch``, naming the domains in sorted order, when more than
+    one is left."""
+    doms = set(doms)
+    doms.discard(None)
+    if len(doms) > 1:
+        raise DomainMismatch("mixed coefficients "
+                             + " and ".join(sorted(map(str, doms))))
+    return doms.pop() if doms else None
 
 
 _UNSCANNED = object()
@@ -125,7 +123,8 @@ _UNSCANNED = object()
 def _poly_domain(poly):
     dom = poly._dom
     if dom is _UNSCANNED:
-        dom = poly._dom = _coeffs_domain(poly.terms.values())
+        dom = poly._dom = _one_domain(
+            _domain(c) for c in poly.terms.values() if type(c) is not int)
     return dom
 
 
@@ -137,17 +136,6 @@ def _check_domains(a, b):
 
 def _key_degree(key) -> int:
     return sum(e for _, e in key)
-
-
-def _key_mul(k1, k2):
-    if not k1:
-        return k2
-    if not k2:
-        return k1
-    exps = dict(k1)
-    for v, e in k2:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
 
 
 # the bits of one digit of a CPython int (30 on 64-bit builds): a packed key
@@ -414,24 +402,19 @@ class MultiPoly:
             return NotImplemented
         _check_domains(self, other)
         trunc = self._combine_trunc(self.trunc, other.trunc)
-        if len(self.terms) > 1 and len(other.terms) > 1:
-            fields = _Packing(
-                self.variables() | other.variables(),
-                _max_exponent(self.terms) + _max_exponent(other.terms))
-            out = _packed_mul(fields.pack(self.terms),
-                              fields.pack(other.terms), fields.limit(trunc))
-            return fields.unpack(out.items(), trunc)
-        out = {}
-        right = [(k2, c2, _key_degree(k2)) for k2, c2 in other.terms.items()]
-        for k1, c1 in self.terms.items():
-            room = math.inf if trunc is None else trunc - _key_degree(k1)
-            for k2, c2, d2 in right:
-                if d2 > room:
-                    continue
-                k = _key_mul(k1, k2)
-                c = c1 * c2
-                out[k] = out[k] + c if k in out else c
-        return MultiPoly._build(out, trunc)
+        for scalar, poly in ((self, other), (other, self)):
+            if len(scalar.terms) == 1 and () in scalar.terms:
+                c = scalar.terms[()]
+                out = {k: c * v for k, v in poly.terms.items()}
+                if poly.trunc == trunc:
+                    return MultiPoly._build(out, trunc)
+                return MultiPoly(out, trunc)
+        fields = _Packing(
+            self.variables() | other.variables(),
+            _max_exponent(self.terms) + _max_exponent(other.terms))
+        out = _packed_mul(fields.pack(self.terms),
+                          fields.pack(other.terms), fields.limit(trunc))
+        return fields.unpack(out.items(), trunc)
 
     __rmul__ = __mul__
 
@@ -495,13 +478,7 @@ def substitute(f: MultiPoly, sigma: dict, D: int | None = None) -> MultiPoly:
                 top_exp[v] = e
     images = {v: sigma[v] if bound is None else sigma[v].truncate(bound)
               for v in top_exp if v in sigma}
-    doms = {_domain(c) for c in f.terms.values()}
-    doms.update(_domain(c) for img in images.values()
-                for c in img.terms.values())
-    doms.discard(None)
-    if len(doms) > 1:
-        raise DomainMismatch("mixed coefficients "
-                             + " and ".join(sorted(map(str, doms))))
+    _one_domain(map(_poly_domain, (f, *images.values())))
     for img in images.values():
         bound = MultiPoly._combine_trunc(bound, img.trunc)
     reach = {v: _max_exponent(img.terms) for v, img in images.items()}

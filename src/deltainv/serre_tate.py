@@ -12,7 +12,9 @@ The lift is a ring endomorphism, so every twisted series is a difference of
 Frobenius lifts of one logarithm ``L = log(1 + T^(0)_11)``: twist level a is
 ``(phi^a(L) - p phi^(a-1)(L)) / p``, and the full forms ``f_r``/``f_bracket``,
 ``sum_(i < a) p^i`` times level ``a - i``, telescope to
-``(phi^a(L) - p^a L) / p``.
+``(phi^a(L) - p^a L) / p``.  A call builds one tower ``L, phi(L), ...`` up
+to the highest lift it needs, each entry one lift of the last, and reads
+every level's series off it.
 """
 
 from __future__ import annotations
@@ -37,30 +39,27 @@ def reduce_rational_poly(f: MultiPoly, p: int, N: int) -> MultiPoly:
 _ENTRY = VarId("T", 0, 1, 1)
 
 
-def _log_entry(D: int) -> MultiPoly:
-    """``L = log(1 + T^(0)_11)`` with exact rational coefficients, truncated
-    at degree D: every twist level's series is a combination of Frobenius
-    lifts of L."""
-    require_at_least(D, 0, "D")
-    return MultiPoly({((_ENTRY, n),): Fraction((-1) ** (n + 1), n)
-                      for n in range(1, D + 1)}, trunc=D)
-
-
-def _log_series(a: int, p: int, D: int) -> MultiPoly:
-    """``(1/p) log((1 + tau_a) / (1 + tau_(a-1))^p)`` with exact rational
-    coefficients, truncated at degree D.
-
-    ``tau_k`` is the k-fold Frobenius lift of the entry variable
-    ``T^(0)_11``; :func:`_rename` moves the series to any other entry.  The
-    lift is a ring endomorphism, so ``log(1 + tau_k) = phi^k(L)`` and the
-    series is ``(phi^a(L) - p phi^(a-1)(L)) / p``.
-    """
+def _lifts(p: int, D: int, a: int) -> list:
+    """The tower ``[L, phi(L), ..., phi^a(L)]`` of Frobenius lifts of
+    ``L = log(1 + T^(0)_11)``, with exact rational coefficients, truncated
+    at degree D: each entry is one lift of the last."""
     require_prime(p)
+    require_at_least(D, 0, "D")
+    tower = [MultiPoly({((_ENTRY, n),): Fraction((-1) ** (n + 1), n)
+                        for n in range(1, D + 1)}, trunc=D)]
+    for _ in range(a):
+        tower.append(frobenius_lift(tower[-1], p))
+    return tower
+
+
+def _twist(tower: list, a: int, p: int) -> MultiPoly:
+    """Twist level a, ``(1/p) log((1 + tau_a) / (1 + tau_(a-1))^p)``, read
+    off a tower of at least a + 1 lifts as ``(phi^a(L) - p phi^(a-1)(L)) /
+    p``: ``tau_k`` is the k-fold Frobenius lift of the entry variable
+    ``T^(0)_11``, and ``log(1 + tau_k) = phi^k(L)``.  :func:`_rename` moves
+    the series to any other entry."""
     require_at_least(a, 1, "twist level")
-    prev = _log_entry(D)
-    for _ in range(a - 1):
-        prev = frobenius_lift(prev, p)
-    return (frobenius_lift(prev, p) - prev * p) * Fraction(1, p)
+    return (tower[a] - tower[a - 1] * p) * Fraction(1, p)
 
 
 def _rename(f: MultiPoly, i: int, j: int) -> MultiPoly:
@@ -83,7 +82,7 @@ def _entrywise(f: MultiPoly, g: int, p: int, N: int):
 
 def psi_phi_direct(a: int, g: int, p: int, N: int, D: int):
     """The (a-1)-fold twisted series, built directly from Frobenius iterates."""
-    return _entrywise(_log_series(a, p, D), g, p, N)
+    return _entrywise(_twist(_lifts(p, D, a), a, p), g, p, N)
 
 
 def phi_twist(S, p: int):
@@ -110,31 +109,25 @@ def expansion_basic(kind: str, index: int, g: int, p: int, N: int, D: int):
     if kind == "f_angle":
         return psi_phi_direct(index, g, p, N, D)
     # sum_(i < index) p^i psi_(index - i), telescoped
-    L = top = _log_entry(D)
-    for _ in range(index):
-        top = frobenius_lift(top, p)
-    return _entrywise((top - L * p ** index) * Fraction(1, p), g, p, N)
+    tower = _lifts(p, D, index)
+    return _entrywise((tower[index] - tower[0] * p ** index) * Fraction(1, p),
+                      g, p, N)
 
 
 # ---------------------------------------------------------------------------
 # suit maps
 # ---------------------------------------------------------------------------
 
-def _slot_images(F: MultiPoly, level_series) -> dict:
-    """Each variable of F mapped to its level's series, renamed to its
-    entry; ``level_series(level)`` is called once per level."""
-    series = {}
-    sigma = {}
-    for v in F.variables():
-        if v.level not in series:
-            series[v.level] = level_series(v.level)
-        sigma[v] = _rename(series[v.level], v.i, v.j)
-    return sigma
+def _slot_images(F: MultiPoly, series: dict) -> dict:
+    """Each variable of F mapped to ``series[level]``, renamed to its
+    entry."""
+    return {v: _rename(series[v.level], v.i, v.j) for v in F.variables()}
 
 
 def diamond_realize(F: MultiPoly, r: int, g: int, p: int, N: int,
                     D: int) -> MultiPoly:
-    """Substitute the (level)-fold twisted series for each slot of F."""
+    """Substitute the (level)-fold twisted series for each slot of F, every
+    level read off one tower of lifts."""
     for name, value, low in (("g", g, 1), ("N", N, 1), ("D", D, 0)):
         require_at_least(value, low, name)
     for v in sorted(F.variables()):
@@ -142,17 +135,22 @@ def diamond_realize(F: MultiPoly, r: int, g: int, p: int, N: int,
             raise ValueError(f"slot {v.level} needs r > {v.level}")
         if not (1 <= v.i <= g and 1 <= v.j <= g):
             raise ValueError(f"entry ({v.i}, {v.j}) is outside g = {g}")
-    sigma = _slot_images(F, lambda level: reduce_rational_poly(
-        _log_series(level + 1, p, D), p, N))
-    return substitute(reduce_rational_poly(F, p, N), sigma, D)
+    levels = {v.level for v in F.variables()}
+    tower = _lifts(p, D, max(levels, default=-1) + 1)
+    series = {level: reduce_rational_poly(_twist(tower, level + 1, p), p, N)
+              for level in levels}
+    return substitute(reduce_rational_poly(F, p, N),
+                      _slot_images(F, series), D)
 
 
 def spade(F: MultiPoly, D: int, p: int = 3) -> MultiPoly:
     """Slot 0 becomes the entrywise logarithm; slot k >= 1 the rational
-    (k-1)-fold twisted series."""
-    sigma = _slot_images(F, lambda level: (
-        _log_entry(D) if level == 0 else _log_series(level, p, D)))
-    return substitute(F.map_coeffs(Fraction), sigma, D)
+    (k-1)-fold twisted series, every level read off one tower of lifts."""
+    levels = {v.level for v in F.variables()}
+    tower = _lifts(p, D, max(levels, default=0))
+    series = {level: _twist(tower, level, p) if level else tower[0]
+              for level in levels}
+    return substitute(F.map_coeffs(Fraction), _slot_images(F, series), D)
 
 
 def difference_substitution(F: MultiPoly, p: int) -> MultiPoly:

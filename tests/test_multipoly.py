@@ -39,7 +39,7 @@ from deltainv.cli import _document
 from deltainv.delta_calculus import frobenius_lift
 from deltainv.multipoly import VarId
 from deltainv.exact_arith import TruncatedPadic
-from deltainv.serre_tate import _log_entry
+from deltainv.serre_tate import _lifts
 
 
 def T(l, i, j):
@@ -165,6 +165,21 @@ def test_mixed_polynomial_fails_every_operation():
             with pytest.raises(DomainMismatch, match="mixed coefficients"):
                 op()
     assert mixed ** 0 == MultiPoly.constant(1)
+
+
+def test_every_operation_names_a_clash_the_same_way():
+    x, y = VarId("T", 0, 1, 1), VarId("T", 0, 2, 2)
+    u = T(1, 1, 1)
+    terms = [(((x, 1),), Fraction(1, 2)), (((y, 1),), TruncatedPadic(3, 2, 1))]
+    message = r"^mixed coefficients \('padic', 3, 2\) and rat$"
+    for order in (terms, terms[::-1]):
+        mixed = MultiPoly(dict(order))
+        for op in (lambda: mixed * u, lambda: u * mixed, lambda: mixed + u,
+                   lambda: u + mixed, lambda: mixed ** 2,
+                   lambda: substitute(mixed, {x: u, y: u}),
+                   lambda: substitute(MultiPoly.var(x), {x: mixed})):
+            with pytest.raises(DomainMismatch, match=message):
+                op()
 
 
 def test_cancelled_rational_terms_leave_no_domain():
@@ -410,8 +425,9 @@ def test_exponents_at_a_field_boundary(k, trunc):
 def test_empty_and_one_term_operands(trunc, coeff):
     x, y = T(0, 1, 1), T(0, 2, 2)
     many = (x + y * 2 + x * y) * coeff + 1
-    operands = [MultiPoly.constant(0), MultiPoly.constant(coeff),
-                x * coeff, x * y * y * coeff, many]
+    unbounded = [MultiPoly.constant(0), MultiPoly.constant(coeff),
+                 x * coeff, x * y * y * coeff, many]
+    operands = unbounded
     if trunc is not None:
         operands = [p.truncate(trunc) for p in operands]
     for a in operands:
@@ -421,6 +437,13 @@ def test_empty_and_one_term_operands(trunc, coeff):
             _same(a ** n, _reference_pow(a, n))
         _same(a * coeff, _reference_mul(a, MultiPoly.constant(coeff)))
         _same(coeff * a, _reference_mul(a, MultiPoly.constant(coeff)))
+    # a scalar whose bound differs from the other operand's, either side
+    for c in (MultiPoly.constant(coeff).truncate(d) for d in (0, 2)):
+        for d in (None, 1, 6):
+            for a in unbounded:
+                a = a if d is None else a.truncate(d)
+                _same(c * a, _reference_mul(c, a))
+                _same(a * c, _reference_mul(a, c))
 
 
 @st.composite
@@ -566,7 +589,7 @@ def test_substitute_of_a_series_by_two_term_images(data, kind, p, D):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_twice_lifted_log_series_matches_termwise_reference(p):
-    L = _log_entry(12)
+    L = _lifts(p, 12, 0)[0]
     once = frobenius_lift(L, p)
     _same(once, _reference_substitute(L, _lift_images(L, p)))
     _same(frobenius_lift(once, p),

@@ -12,16 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltainv import serre_tate
 from deltainv.delta_calculus import frobenius_lift
 from deltainv.exact_arith import TruncatedPadic, rational_reduce
 from deltainv.conj_invariants import y_invariant
 from deltainv.multipoly import (_det_rows, MultiPoly, Tvar, VarId,
                                  alternating_product, charpoly_coeff,
-                                 generic_sym_matrix, homogeneous_component)
+                                 generic_sym_matrix, homogeneous_component,
+                                 substitute)
 from deltainv.serre_tate import (
     _ENTRY,
-    _log_entry,
-    _log_series,
+    _lifts,
+    _rename,
+    _twist,
     cyclic_word_check,
     diamond_realize,
     difference_substitution,
@@ -106,7 +109,7 @@ def _log1p(x, D):
 
 @pytest.mark.parametrize("D", range(7))
 def test_log_entry_is_the_logarithm_of_the_entry(D):
-    got = _log_entry(D)
+    got = _lifts(2, D, 0)[0]
     assert got.terms == _log1p(MultiPoly.var(_ENTRY).truncate(D), D).terms
     assert got.trunc == D
 
@@ -135,7 +138,7 @@ def _log_series_binomial_reference(a, p, D):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("a", [1, 2, 3, 4])
 def test_log_series_matches_binomial_reference(a, p, D):
-    got = _log_series(a, p, D)
+    got = _twist(_lifts(p, D, a), a, p)
     assert got.terms == _log_series_binomial_reference(a, p, D).terms
     assert got.trunc == D
 
@@ -291,7 +294,6 @@ def test_diamond_congruence_stability():
     # higher levels transform by the induced p-derivation images.  The scalar
     # output of the determinant realization is fixed by this substitution.
     from deltainv.delta_calculus import canonical_delta
-    from deltainv.multipoly import substitute
     from deltainv.serre_tate import reduce_rational_poly
 
     p, N, D = 3, 2, 3
@@ -323,12 +325,60 @@ def test_diamond_congruence_stability():
     (lambda: diamond_realize(Tvar(0, 1, 3), 1, 2, 3, 2, 3), "outside g = 2"),
     (lambda: diamond_realize(Tvar(0, 1, 1), 1, 2, 3, 2, -1),
      "^D must be at least 0, got -1$"),
-    (lambda: _log_series(0, 3, 4), "twist level"),
+    (lambda: _twist(_lifts(3, 4, 0), 0, 3), "twist level"),
 ], ids=["expansion-kind", "diamond-slot", "diamond-entry", "diamond-degree",
         "log-series-level"])
 def test_rejects_invalid_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def _per_level(F, series, D):
+    """F with each variable replaced by ``series(level)`` renamed to its
+    entry, every level's series built from a tower of its own."""
+    sigma = {v: _rename(series(v.level), v.i, v.j) for v in F.variables()}
+    return substitute(F, sigma, D)
+
+
+@pytest.mark.parametrize("D", [0, 4, 8])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_one_tower_of_lifts_per_call(monkeypatch, p, D):
+    lifts = []
+
+    def counted(F, q):
+        lifts.append(q)
+        return frobenius_lift(F, q)
+
+    def twist(a):
+        return _twist(_lifts(p, D, a), a, p)
+
+    def per_level_diamond(F):
+        return _per_level(reduce_rational_poly(F, p, N),
+                          lambda l: reduce_rational_poly(twist(l + 1), p, N),
+                          D)
+
+    N = 3
+    levels_0_2 = Tvar(0, 1, 1) * Tvar(2, 2, 2) - Tvar(0, 1, 2) * 3
+    for call, n_lifts, want in [
+        # levels {0, 1}: a tower of 2 lifts
+        (lambda: diamond_realize(theta11(), 2, 2, p, N, D), 2,
+         lambda: per_level_diamond(theta11())),
+        # level 2 alone at r = 4: 3 lifts, up to the level present, not r
+        (lambda: diamond_realize(detT(2), 4, 2, p, N, D), 3,
+         lambda: per_level_diamond(detT(2))),
+        # spade on levels {0, 2}: 2 lifts
+        (lambda: spade(levels_0_2, D, p), 2,
+         lambda: _per_level(levels_0_2.map_coeffs(Fraction),
+                            lambda l: twist(l) if l else _lifts(p, D, 0)[0],
+                            D)),
+    ]:
+        lifts.clear()
+        monkeypatch.setattr(serre_tate, "frobenius_lift", counted)
+        got = call()
+        monkeypatch.undo()
+        assert lifts == [p] * n_lifts
+        assert got.terms == want().terms
+        assert got.trunc == D
 
 
 def test_spade_scalar_log():
