@@ -101,31 +101,16 @@ def y_invariant(j: int, levels, g: int) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 def jacobian_rows(polys, point: dict):
-    """Gradients of the family at the point, over its sorted variables.
-
-    One pass over each polynomial's terms: the term c * prod x_w^(e_w) adds
-    c * e_v * x_v^(e_v - 1) * prod_{w != v} x_w^(e_w) to the entry of each
-    of its variables v.  Entries are exact; :func:`jacobian_rank` reduces
-    them mod p.
-    """
+    """Gradients of the family at the point, over its sorted variables: each
+    entry is one derivative polynomial evaluated.  Entries are exact;
+    :func:`jacobian_rank` reduces them mod p."""
     vars_ = sorted({v for f in polys for v in f.variables()})
-    col = {v: k for k, v in enumerate(vars_)}
-    rows = []
-    for f in polys:
-        row = [0] * len(vars_)
-        for key, coeff in f.terms.items():
-            for v, e in key:
-                term = coeff * e
-                for w, d in key:
-                    term = term * point[w] ** (d - 1 if w == v else d)
-                row[col[v]] += term
-        rows.append(row)
-    return rows
+    return [[f.derivative(v).evaluate(point) for v in vars_] for f in polys]
 
 
-def jacobian_rank(polys, point: dict, field=None) -> int:
-    """Rank of the Jacobian of the polynomial family at the given point,
-    over Q or, when ``field`` is a prime p, over F_p."""
+def jacobian_rank(polys, point: dict, field: int) -> int:
+    """Rank over F_p, p = ``field`` a prime, of the Jacobian of the
+    polynomial family at the given point."""
     return rank(ExactMatrix(jacobian_rows(polys, point), field=field))
 
 

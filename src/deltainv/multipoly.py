@@ -124,7 +124,7 @@ def _poly_domain(poly):
     dom = poly._dom
     if dom is _UNSCANNED:
         dom = poly._dom = _one_domain(
-            _domain(c) for c in poly.terms.values() if type(c) is not int)
+            {_domain(c) for c in poly.terms.values() if type(c) is not int})
     return dom
 
 
@@ -466,9 +466,9 @@ def substitute(f: MultiPoly, sigma: dict, D: int | None = None) -> MultiPoly:
     image, up to the largest exponent of its variable in f.  The image of a
     term is its coefficient multiplied through the powers of its variables,
     every product cut at the bound.  The term images are summed into one
-    packed dict, in the order of f, with each coefficient that cancels
-    removed at once, and the sum is unpacked once: its value is that of
-    adding the term images up one by one.
+    packed dict, in the order of f, and the sum is unpacked once, which
+    drops the coefficients that cancelled: its value is that of adding the
+    term images up one by one.
     """
     bound = D if D is not None else f.trunc
     top_exp: dict = {}      # each variable of f: its largest exponent in f
@@ -496,14 +496,7 @@ def substitute(f: MultiPoly, sigma: dict, D: int | None = None) -> MultiPoly:
             term = _packed_mul((kc for kc in term.items() if kc[1]),
                                powers[v][e - 1], limit)
         for k, c in term.items():
-            if not c:
-                continue
-            if k in out:
-                c = out[k] + c
-                if not c:
-                    del out[k]
-                    continue
-            out[k] = c
+            out[k] = out[k] + c if k in out else c
     return fields.unpack(out.items(), bound)
 
 

@@ -48,6 +48,8 @@ THETA_BUDGET = 10 ** 6
 DIMS_BUDGET = 2 * 10 ** 8
 # weight counts of one Hilbert series: 7-10 s at the budget when r = 4
 HILBERT_BUDGET = 2 * 10 ** 6
+# b0 trials, times the bit length of q at g = 3: about 10 s at the budget
+B0_BUDGET = 2 * 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +395,14 @@ def hilbert_closed(r: int, terms: int, variant: str = "even"):
     require_at_least(r, 0, "r")
     if variant not in ("even", "grassmannian"):
         raise ValueError(f"unknown variant: {variant}")
-    # two weight counts per degree s, an even one over s + 1 exponents
+    # two weight counts per degree s, an even one over s + 1 exponents with
+    # binomials up to C(2 terms + r, r), so weighed by 1 + its bits // 64
+    # (1 for r <= 6); C is built only once the bare count is within budget
+    work = terms * (terms + 1 if variant == "even" else 2)
+    if variant == "even" and work <= HILBERT_BUDGET:
+        work *= 1 + comb(2 * terms + r, r).bit_length() // 64
     require_within_budget(f"the {variant} Hilbert series to {terms} terms",
-                          terms * (terms + 1 if variant == "even" else 2),
-                          "weight counts", HILBERT_BUDGET)
+                          work, "weight counts", HILBERT_BUDGET)
     if variant == "even":
         return [invariant_dimension(2, r, s) for s in range(terms)]
 
@@ -602,13 +608,16 @@ def b0_count(g: int, q: int, trials: int = 100, seed=None):
     them all, as the gcd of f with w^((q-1)/2) - 1, which Tonelli-Shanks or
     Cantor-Zassenhaus splitting then factors; a trial costs O(log q)
     operations.  A count is at most 3 roots x 2 square roots z x 2 sign
-    choices of x = 12.
+    choices of x = 12.  A run over ``B0_BUDGET`` trial bits is refused first.
     """
     if g not in (2, 3):
         raise ValueError("point counts implemented for sizes 2 and 3")
     require_prime(q, "q")
     require_at_least(q, g, "q")     # size 3 needs an odd q
     require_at_least(trials, 1, "trials")
+    require_within_budget(f"b0 of size {g} with {trials} trials",
+                          trials * (q.bit_length() if g == 3 else 1),
+                          "trial bits", B0_BUDGET)
     rng = random.Random(seed)
     if g == 2:
         counts = [_count_g2(q, rng.randrange(q)) for _ in range(trials)]

@@ -153,14 +153,17 @@ def spade(F: MultiPoly, D: int, p: int = 3) -> MultiPoly:
     return substitute(F.map_coeffs(Fraction), _slot_images(F, series), D)
 
 
+def _difference(v: VarId, p: int) -> MultiPoly:
+    """``p^l (v' - v)`` for a slot-l variable v, v' the same entry one level
+    up."""
+    up = v._replace(level=v.level + 1)
+    return (MultiPoly.var(up) - MultiPoly.var(v)) * Fraction(p ** v.level)
+
+
 def difference_substitution(F: MultiPoly, p: int) -> MultiPoly:
     """Replace each slot-l variable by ``p^l`` times the next-level difference."""
-    sigma = {}
-    for v in F.variables():
-        up = VarId(v.family, v.level + 1, v.i, v.j)
-        sigma[v] = (MultiPoly.var(up) - MultiPoly.var(v)) * \
-            Fraction(p ** v.level)
-    return substitute(F.map_coeffs(Fraction), sigma)
+    return substitute(F.map_coeffs(Fraction),
+                      {v: _difference(v, p) for v in F.variables()})
 
 
 def initial_form_identity_check(F: MultiPoly, D: int) -> bool:
@@ -169,15 +172,9 @@ def initial_form_identity_check(F: MultiPoly, D: int) -> bool:
     d = F.degree()
     for p in (2, 3, 5):
         lhs = homogeneous_component(spade(F, max(D, d), p), d)
-        sigma = {}
-        for v in F.variables():
-            if v.level == 0:
-                sigma[v] = MultiPoly.var(v).map_coeffs(Fraction)
-            else:
-                up = VarId(v.family, v.level, v.i, v.j)
-                dn = VarId(v.family, v.level - 1, v.i, v.j)
-                sigma[v] = (MultiPoly.var(up) - MultiPoly.var(dn)) * \
-                    Fraction(p ** (v.level - 1))
+        sigma = {v: _difference(v._replace(level=v.level - 1), p) if v.level
+                 else MultiPoly.var(v).map_coeffs(Fraction)
+                 for v in F.variables()}
         rhs = substitute(F.map_coeffs(Fraction), sigma)
         if not lhs == rhs:
             return False

@@ -349,6 +349,8 @@ def test_usage_error_exit_code(capsys):
     "b0 --g 2 --q 101 --trials 0",
     "b0 --g 3 --q 1",
     "b0 --g 3 --q 2",
+    "b0 --g 3 --q 101 --trials 100000000",
+    "hilbert --r 1000000 --terms 1400",
 ])
 def test_invalid_input_is_a_usage_error(capsys, argv):
     assert main(argv.split()) == 2

@@ -2,9 +2,10 @@
 polynomial, adjugate-product tuples, and Jacobian-rank certificates.
 
 Oracles: sympy matrix arithmetic on random integer samples, and gradients
-taken one derivative polynomial at a time.
+taken by sympy polynomial differentiation and evaluation.
 """
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -380,10 +381,20 @@ def test_jacobian_detects_dependence():
     assert jacobian_rank([x, x * x], {VarId("X", 0, 1, 1): 5}, field=101) == 1
 
 
-def _derivative_rows(polys, point):
-    """Gradient rows built from one derivative polynomial per entry."""
-    vars_ = sorted({v for f in polys for v in f.variables()})
-    return [[f.derivative(v).evaluate(point) for v in vars_] for f in polys]
+def _sympy_rows(polys, point):
+    """Gradient rows from sympy: each polynomial a ``sympy.Poly`` over the
+    point's variables, differentiated and evaluated there."""
+    gens = sorted(point)
+    xs = sympy.symbols(f"x0:{len(gens)}")
+    at = {x: sympy.sympify(point[v]) for x, v in zip(xs, gens)}
+    cols = [xs[gens.index(v)]
+            for v in sorted({v for f in polys for v in f.variables()})]
+    rows = []
+    for f in polys:
+        P = sympy.Poly.from_dict({tuple(dict(key).get(v, 0) for v in gens): c
+                                  for key, c in f.terms.items()}, *xs)
+        rows.append([Fraction(str(P.diff(x).eval(at))) for x in cols])
+    return rows
 
 
 def _reduced(rows, field):
@@ -394,15 +405,23 @@ def _reduced(rows, field):
 FIELDS = [None, (1 << 31) - 1, 101]
 
 
-@pytest.mark.parametrize("field", FIELDS)
-@pytest.mark.parametrize("g", [3, 4, 5])
-def test_jacobian_rows_match_derivatives_on_theta_family(g, field):
+@functools.cache
+def _theta_family_case(g):
+    """The theta family of two levels at a seeded point, and its sympy rows
+    (about 1.5 s at g = 5), shared by the fields."""
     polys = [theta(g, m) for m in theta_multidegrees(g, 1)]
     rng = random.Random(g)
     point = {v: rng.randrange(1, (1 << 31) - 1)
              for f in polys for v in f.variables()}
+    return polys, point, _sympy_rows(polys, point)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_jacobian_rows_match_derivatives_on_theta_family(g, field):
+    polys, point, want = _theta_family_case(g)
     assert _reduced(jacobian_rows(polys, point), field) == \
-        _reduced(_derivative_rows(polys, point), field)
+        _reduced(want, field)
 
 
 def _random_poly(rng, gens):
@@ -426,7 +445,7 @@ def test_jacobian_rows_match_derivatives_on_random_polys(seed, field):
         values.append(Fraction(-5, 3))
     point = {v: rng.choice(values) for v in gens}
     assert _reduced(jacobian_rows(polys, point), field) == \
-        _reduced(_derivative_rows(polys, point), field)
+        _reduced(_sympy_rows(polys, point), field)
 
 
 def test_jacobian_keeps_fractions_exact():

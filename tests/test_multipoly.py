@@ -531,6 +531,25 @@ def _reference_substitute(f, sigma, D=None):
     return total
 
 
+@pytest.mark.parametrize("one", [1, TruncatedPadic(3, 2, 1)])
+def test_substitute_term_images_cancel_across_terms(one):
+    # x + y with x -> u + w, y -> -u leaves w; x - y with x, y -> u is 0
+    x, y, u, w = (VarId("v", level, 0, 0) for level in range(4))
+
+    def linear(*pairs):
+        return MultiPoly({((v, 1),): c for v, c in pairs})
+
+    for f, sigma, want in (
+            (linear((x, one), (y, one)),
+             {x: linear((u, one), (w, one)), y: linear((u, -one))},
+             linear((w, one * one))),
+            (linear((x, one), (y, -one)),
+             {x: linear((u, one)), y: linear((u, one))}, MultiPoly())):
+        got = substitute(f, sigma)
+        _same(got, _reference_substitute(f, sigma))
+        _same(got, want)
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(data=st.data(), kinds=st.sampled_from([
     ("int", "int"), ("int", "rat"), ("rat", "rat"), ("rat", "int"),

@@ -30,6 +30,7 @@ from deltainv.multipoly import (
 )
 from deltainv import quad_invariants
 from deltainv.quad_invariants import (
+    B0_BUDGET,
     DIMS_BUDGET,
     HILBERT_BUDGET,
     THETA_BUDGET,
@@ -749,6 +750,20 @@ def test_hilbert_budget_boundary(monkeypatch, variant, last):
         hilbert_closed(4, last + 1, variant=variant)
 
 
+@pytest.mark.parametrize("r,last", [(6, 1413), (7, 999), (200, 407),
+                                    (10 ** 6, 169)])
+def test_hilbert_even_estimate_grows_with_r(monkeypatch, r, last):
+    # an even count multiplies binomials C(n + r, r), longer as r grows:
+    # r <= 6 keeps the r = 4 boundary, and the longest series admitted at
+    # r = 200 or 10^6 ran in 3.4 s and 1.1 s, where 1400 terms at r = 10^6
+    # would run for minutes
+    monkeypatch.setattr(quad_invariants, "invariant_dimension",
+                        lambda g, r, s: 0)
+    assert len(hilbert_closed(r, last)) == last
+    with pytest.raises(SizeTooLarge):
+        hilbert_closed(r, last + 1)
+
+
 def test_hilbert_grassmannian_r3():
     # (1 + x) / (1-x)^5
     expect = [comb(s + 4, 4) + (comb(s + 3, 4) if s >= 1 else 0) for s in range(3)]
@@ -833,6 +848,22 @@ def test_b0_g3_seeded_trials_follow_the_draw_order():
     out = b0_count(3, q, trials=40, seed=seed)
     assert out["counts"] == [_count_g3_loop(q, *d) for d in draws]
     assert out["max_count"] == max(out["counts"])
+
+
+def test_b0_refuses_a_run_over_the_budget_before_any_trial(monkeypatch):
+    # 10^8 trials at q = 101 (7 bits) would run for about 35 minutes
+    def trial(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(quad_invariants, "_count_g3", trial)
+    monkeypatch.setattr(quad_invariants, "_count_g2", trial)
+    with pytest.raises(SizeTooLarge, match=(
+            f"needs 700000000 trial bits, over the budget {B0_BUDGET}$")):
+        b0_count(3, 101, trials=10 ** 8)
+    for g, trials in ((3, B0_BUDGET // 7 + 1), (2, B0_BUDGET + 1)):
+        with pytest.raises(SizeTooLarge):
+            b0_count(g, 101, trials=trials)
+        with pytest.raises(AssertionError, match="a trial ran"):
+            b0_count(g, 101, trials=trials - 1)
 
 
 def test_b0_g3_large_field():
