@@ -466,9 +466,10 @@ def substitute(f: MultiPoly, sigma: dict, D: int | None = None) -> MultiPoly:
     image, up to the largest exponent of its variable in f.  The image of a
     term is its coefficient multiplied through the powers of its variables,
     every product cut at the bound.  The term images are summed into one
-    packed dict, in the order of f, and the sum is unpacked once, which
-    drops the coefficients that cancelled: its value is that of adding the
-    term images up one by one.
+    packed dict, in the order of f: a zero coefficient is skipped, and one
+    that cancels is replaced by the next coefficient at its key, so each
+    sum keeps the type that adding the term images up one by one gives.
+    The sum is unpacked once, which drops the coefficients left at zero.
     """
     bound = D if D is not None else f.trunc
     top_exp: dict = {}      # each variable of f: its largest exponent in f
@@ -496,7 +497,8 @@ def substitute(f: MultiPoly, sigma: dict, D: int | None = None) -> MultiPoly:
             term = _packed_mul((kc for kc in term.items() if kc[1]),
                                powers[v][e - 1], limit)
         for k, c in term.items():
-            out[k] = out[k] + c if k in out else c
+            if c:   # a zero c or a cancelled sum must not set the type
+                out[k] = out[k] + c if out.get(k) else c
     return fields.unpack(out.items(), bound)
 
 

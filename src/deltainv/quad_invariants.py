@@ -133,6 +133,10 @@ def invariant_dimension(g: int, r: int, s) -> int:
                            f"g (2s + g)^g DP steps, over the budget "
                            f"{DIMS_BUDGET}")
     pairs = [(i, j) for i in range(g) for j in range(i, g)]
+    # C(n + r, r): n factors of one pair spread over the r + 1 levels, for
+    # every n up to the largest weight lam + g - 1
+    binom = list(itertools.accumulate(
+        range(1, lam + g), lambda c, n: c * (n + r) // n, initial=1))
 
     @functools.cache
     def monomials(k, rem):
@@ -153,8 +157,7 @@ def invariant_dimension(g: int, r: int, s) -> int:
             left = list(rem)
             left[i] -= n
             left[j] -= n
-            # n factors of one pair spread over the r + 1 levels
-            total += comb(n + r, r) * monomials(k + 1, tuple(left))
+            total += binom[n] * monomials(k + 1, tuple(left))
         return total
 
     return _weyl_sum(g, lam, functools.partial(monomials, 0))
@@ -396,11 +399,12 @@ def hilbert_closed(r: int, terms: int, variant: str = "even"):
     if variant not in ("even", "grassmannian"):
         raise ValueError(f"unknown variant: {variant}")
     # two weight counts per degree s, an even one over s + 1 exponents with
-    # binomials up to C(2 terms + r, r), so weighed by 1 + its bits // 64
-    # (1 for r <= 6); C is built only once the bare count is within budget
+    # binomials up to C(2 terms + r, r), so weighed by 1 + its bits // 1000:
+    # 1 for r <= 150, and for r up to 10^18 the longest series admitted runs
+    # about as long as at r = 4.  C is built once the bare count is in budget
     work = terms * (terms + 1 if variant == "even" else 2)
     if variant == "even" and work <= HILBERT_BUDGET:
-        work *= 1 + comb(2 * terms + r, r).bit_length() // 64
+        work *= 1 + comb(2 * terms + r, r).bit_length() // 1000
     require_within_budget(f"the {variant} Hilbert series to {terms} terms",
                           work, "weight counts", HILBERT_BUDGET)
     if variant == "even":

@@ -550,6 +550,22 @@ def test_substitute_term_images_cancel_across_terms(one):
         _same(got, want)
 
 
+def test_substitute_zero_and_cancelled_images_keep_the_int_type():
+    # 1 + 3x and 3x + 1 with x -> 3 mod 9 (a zero image), and x - y + 1 with
+    # x, y -> 1/1 (images that cancel before the constant), are the int 1
+    x, y = VarId("v", 0, 0, 0), VarId("v", 1, 0, 0)
+    nine = {x: MultiPoly.constant(TruncatedPadic(3, 2, 3))}
+    for f, sigma in (
+            (MultiPoly({(): 1, ((x, 1),): 3}), nine),
+            (MultiPoly({((x, 1),): 3, (): 1}), nine),
+            (MultiPoly({((x, 1),): 1, ((y, 1),): -1, (): 1}),
+             {x: MultiPoly.constant(Fraction(1)),
+              y: MultiPoly.constant(Fraction(1))})):
+        got = substitute(f, sigma)
+        _same(got, _reference_substitute(f, sigma))
+        _same(got, MultiPoly.constant(1))
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(data=st.data(), kinds=st.sampled_from([
     ("int", "int"), ("int", "rat"), ("rat", "rat"), ("rat", "int"),

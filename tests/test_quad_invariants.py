@@ -750,13 +750,14 @@ def test_hilbert_budget_boundary(monkeypatch, variant, last):
         hilbert_closed(4, last + 1, variant=variant)
 
 
-@pytest.mark.parametrize("r,last", [(6, 1413), (7, 999), (200, 407),
-                                    (10 ** 6, 169)])
+@pytest.mark.parametrize("r,last", [(6, 1413), (150, 1413), (200, 1144),
+                                    (2000, 706), (10 ** 6, 430)])
 def test_hilbert_even_estimate_grows_with_r(monkeypatch, r, last):
     # an even count multiplies binomials C(n + r, r), longer as r grows:
-    # r <= 6 keeps the r = 4 boundary, and the longest series admitted at
-    # r = 200 or 10^6 ran in 3.4 s and 1.1 s, where 1400 terms at r = 10^6
-    # would run for minutes
+    # r <= 150 keeps the r = 4 boundary, and on one Xeon core the longest
+    # series admitted ran in 4.4 s at r = 6, 6.1 s at r = 150 and 3.5-4.5 s
+    # at r = 200, 2000 and 10^6, where 1400 terms at r = 10^6 would run for
+    # minutes
     monkeypatch.setattr(quad_invariants, "invariant_dimension",
                         lambda g, r, s: 0)
     assert len(hilbert_closed(r, last)) == last
