@@ -8,9 +8,10 @@ the known relations between them, and point counts on the fibres of the
 separating invariants.  Every graded dimension and Hilbert coefficient is one
 Weyl-group sum over a monomial weight count.  A g = 3 fibre count is read off
 the roots of a cubic resolvent in w = z^2: with x^2 = X(w) and y^2 = Y(w),
-the points with z != 0 lie over the roots of (w + R3)^2 - w X(w) Y(w), found
-by a gcd with w^q - w and Cantor-Zassenhaus splitting in O(log q) operations,
-and a count is at most 3 roots x 2 square roots x 2 sign choices = 12.
+the points with z != 0 lie over the roots of (w + R3)^2 - w X(w) Y(w).  The
+drawn point gives one root, gamma^2, and the quadratic cofactor the others, so
+a trial costs a few modular powers and a count is at most 3 roots x 2 square
+roots x 2 sign choices = 12.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ THETA_BUDGET = 10 ** 6
 DIMS_BUDGET = 2 * 10 ** 8
 # weight counts of one Hilbert series: 7-10 s at the budget when r = 4
 HILBERT_BUDGET = 2 * 10 ** 6
-# b0 trials, times the bit length of q at g = 3: about 10 s at the budget
+# b0 trials, times the bit length of q at g = 3: 2-6 s at the budget
 B0_BUDGET = 2 * 10 ** 6
 
 
@@ -471,7 +472,8 @@ def _chi(a: int, q: int) -> int:
 
 
 def _sqrt_mod(a: int, q: int) -> int:
-    """A square root of the square a mod the odd prime q (Tonelli-Shanks)."""
+    """A square root of the square a mod the odd prime q (Tonelli-Shanks);
+    a may be 0, whose root is 0."""
     s, m = 0, q - 1
     while m % 2 == 0:
         s, m = s + 1, m // 2
@@ -488,107 +490,36 @@ def _sqrt_mod(a: int, q: int) -> int:
     return x
 
 
-# Polynomials over F_q are coefficient lists, constant term first, with no
-# trailing zeros; the divisors below are monic.
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _monic(a, q):
-    inv = pow(a[-1], -1, q)
-    return [c * inv % q for c in a]
-
-
-def _pdivmod(a, m, q):
-    """Quotient and remainder of a by the monic polynomial m."""
-    rem, d = a[:], len(m) - 1
-    quot = [0] * max(len(a) - d, 0)
-    for k in range(len(quot) - 1, -1, -1):
-        c = quot[k] = rem[k + d]
-        if c:
-            for i in range(d + 1):
-                rem[k + i] = (rem[k + i] - c * m[i]) % q
-    return quot, _trim(rem[:d])
-
-
-def _pgcd(a, b, q):
-    """The monic gcd of a and b, a nonzero."""
-    while b:
-        b = _monic(b, q)
-        a, b = b, _pdivmod(a, b, q)[1]
-    return _monic(a, q)
-
-
-def _powmod3(base, e, f, q):
-    """base**e mod the monic cubic f, by square-and-multiply on residue
-    triples (c0, c1, c2), reducing with w^3 = -(f0 + f1 w + f2 w^2)."""
-    f0, f1, f2 = f[:3]
-
-    def mul(a, b):
-        a0, a1, a2 = a
-        b0, b1, b2 = b
-        p4 = a2 * b2 % q
-        p3 = (a1 * b2 + a2 * b1 - p4 * f2) % q
-        return ((a0 * b0 - p3 * f0) % q,
-                (a0 * b1 + a1 * b0 - p4 * f0 - p3 * f1) % q,
-                (a0 * b2 + a1 * b1 + a2 * b0 - p4 * f1 - p3 * f2) % q)
-
-    out = (1, 0, 0)
-    while e:
-        if e & 1:
-            out = mul(out, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    return out
-
-
-def _minus(residue, c, q):
-    """The residue triple minus the triple c, as a trimmed polynomial."""
-    return _trim([(x - y) % q for x, y in zip(residue, c)])
-
-
-def _split_roots(g, q):
-    """The roots of g, monic of degree <= 3 with distinct roots all in F_q,
-    and at degree 3 all nonzero squares."""
-    if len(g) == 2:
-        return [-g[0] % q]
-    if len(g) == 3:
-        s, half = _sqrt_mod((g[1] * g[1] - 4 * g[0]) % q, q), (q + 1) // 2
-        return [(-g[1] + s) * half % q, (-g[1] - s) * half % q]
-    if len(g) == 4:
-        # Cantor-Zassenhaus: (w + a)^((q-1)/2) - 1 vanishes exactly at the
-        # roots r with r + a a nonzero square, so a = 0 cannot split roots
-        # that are all squares.  Some a splits two roots r, r', else the
-        # squares S would have S - r = S - r', invariant under translation
-        # by r' - r and so by all of F_q; that a lies in 1..q-1
-        for a in range(1, q):
-            h = _pgcd(g, _minus(_powmod3((a, 1, 0), (q - 1) // 2, g, q),
-                                (1, 0, 0), q), q)
-            if 1 < len(h) < 4:
-                return _split_roots(h, q) + _split_roots(_pdivmod(g, h, q)[0], q)
-    return []
-
-
 def _count_g3(q, alpha, beta, gamma, nu):
     """Solutions (x, y, z) in F_q^3 of x^2 + y^2 + z^2 = R1, y^2 + nu z^2 = R2
-    and x y z - z^2 = R3, from the roots of the cubic resolvent in w = z^2."""
+    and x y z - z^2 = R3, from the roots of the cubic resolvent in w = z^2.
+
+    The drawn point (alpha, beta, gamma) lies on the fibre, so w0 = gamma^2
+    is a root, and the other two are those of the quadratic left after
+    dividing by w - w0."""
     r1 = (alpha * alpha + beta * beta + gamma * gamma) % q
     r2 = (beta * beta + nu * gamma * gamma) % q
     r3 = (alpha * beta * gamma - gamma * gamma) % q
     # x^2 = X(w) = x0 + x1 w and y^2 = Y(w) = y0 + y1 w
     x0, x1, y0, y1 = (r1 - r2) % q, nu - 1, r2, -nu
-    # squaring x y z = w + R3 gives f(w) = (w + R3)^2 - w X(w) Y(w) = 0
-    f = _monic([c % q for c in (r3 * r3, 2 * r3 - x0 * y0,
-                                1 - x0 * y1 - x1 * y0, -x1 * y1)], q)
     count = (1 + _chi(x0, q)) * (1 + _chi(y0, q)) if r3 == 0 else 0
-    # a root w gives z only when it is a nonzero square, and then two of
-    # them; gcd(f, w^((q-1)/2) - 1) is the product of (w - r) over those
-    half = _powmod3((0, 1, 0), (q - 1) // 2, f, q)
-    for w in _split_roots(_pgcd(f, _minus(half, (1, 0, 0), q), q), q):
+    # squaring x y z = w + R3 gives f(w) = (w + R3)^2 - w X(w) Y(w) = 0;
+    # X(w0) = alpha^2, Y(w0) = beta^2 and w0 + R3 = alpha beta gamma make
+    # f(w0) = 0, and synthetic division by w - w0 leaves a w^2 + b w + c,
+    # with a = -x1 y1 = nu (nu - 1) != 0
+    w0 = gamma * gamma % q
+    a = -x1 * y1 % q
+    b = (1 - x0 * y1 - x1 * y0 + a * w0) % q
+    c = (2 * r3 - x0 * y0 + b * w0) % q
+    roots = {w0}
+    disc = (b * b - 4 * a * c) % q
+    if _chi(disc, q) != -1:
+        s, inv = _sqrt_mod(disc, q), pow(2 * a, -1, q)
+        roots.update(((-b + s) * inv % q, (-b - s) * inv % q))
+    for w in roots:
+        # a root w gives z only when it is a nonzero square, and then two
+        if _chi(w, q) != 1:
+            continue
         # x y = (w + R3)/z fixes y from x, unless it is 0
         n = 1 + _chi(x0 + x1 * w, q)
         if (w + r3) % q == 0:
@@ -608,11 +539,11 @@ def b0_count(g: int, q: int, trials: int = 100, seed=None):
     At g = 2 a fibre is x^2 = d, counted by `_count_g2`.  At g = 3 it is
     the system solved by `_count_g3`: with w = z^2, the points with z = 0
     exist only when R3 = 0, and the others lie over the roots w of a cubic
-    resolvent f that are nonzero squares.  One modular power per trial finds
-    them all, as the gcd of f with w^((q-1)/2) - 1, which Tonelli-Shanks or
-    Cantor-Zassenhaus splitting then factors; a trial costs O(log q)
-    operations.  A count is at most 3 roots x 2 square roots z x 2 sign
-    choices of x = 12.  A run over ``B0_BUDGET`` trial bits is refused first.
+    resolvent f that are nonzero squares.  The drawn z^2 is one root, and
+    the quadratic left after dividing it out has the others, so a trial
+    costs a few Legendre symbols and one square root mod q.  A count is at
+    most 3 roots x 2 square roots z x 2 sign choices of x = 12.  A run over
+    ``B0_BUDGET`` trial bits is refused first.
     """
     if g not in (2, 3):
         raise ValueError("point counts implemented for sizes 2 and 3")

@@ -37,6 +37,7 @@ from deltainv.quad_invariants import (
     _apply_derivation,
     _count_g2,
     _count_g3,
+    _sqrt_mod,
     b0_count,
     binary_discriminant,
     congruence_act,
@@ -828,7 +829,15 @@ def test_b0_g3_resolvent_matches_loop_on_every_draw(q):
             assert got == _count_g3_loop(q, *abc, nu) and got <= 12
 
 
-@pytest.mark.parametrize("q", [13, 101, 1009])
+@pytest.mark.parametrize("q", [3, 5, 13, 17, 257])
+def test_sqrt_mod_of_every_square(q):
+    # q - 1 = 2^s m with s = 1, 2, 2, 4, 8: Tonelli-Shanks loops up to s times
+    for a in _square_roots(q):
+        assert _sqrt_mod(a, q) ** 2 % q == a
+
+
+# q = 257 = 2^8 + 1 takes the deepest Tonelli-Shanks loop the scan can check
+@pytest.mark.parametrize("q", [13, 101, 257, 1009])
 def test_b0_g3_resolvent_matches_loop_on_random_draws(q):
     rng = random.Random(q)
     seen = set()
@@ -868,9 +877,14 @@ def test_b0_refuses_a_run_over_the_budget_before_any_trial(monkeypatch):
 
 
 def test_b0_g3_large_field():
-    # a scan over F_q takes minutes at this size; the resolvent is O(log q)
-    out = b0_count(3, 1000003, trials=100, seed=1)
-    assert len(out["counts"]) == 100 and out["max_count"] <= 12
+    # a scan over F_q takes minutes at these sizes.  The fibre holds the drawn
+    # (alpha, beta, gamma) and its sign flips (-alpha, -beta, gamma),
+    # (-alpha, beta, -gamma) and (alpha, -beta, -gamma), four distinct points
+    # as alpha, beta, gamma != 0 and q is odd; a count is at most 12
+    for q in (1000003, 2 ** 61 - 1):
+        out = b0_count(3, q, trials=100, seed=1)
+        assert len(out["counts"]) == 100
+        assert all(4 <= c <= 12 for c in out["counts"])
 
 
 def test_b0_g3_matches_exhaustive_oracle():
