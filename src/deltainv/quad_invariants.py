@@ -49,7 +49,7 @@ THETA_BUDGET = 10 ** 6
 DIMS_BUDGET = 2 * 10 ** 8
 # weight counts of one Hilbert series: 7-10 s at the budget when r = 4
 HILBERT_BUDGET = 2 * 10 ** 6
-# b0 trials, times the bit length of q at g = 3: 2-6 s at the budget
+# b0 trials, times the bit length of q at g = 3: 1.5-5.5 s at the budget
 B0_BUDGET = 2 * 10 ** 6
 
 
