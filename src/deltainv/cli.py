@@ -9,15 +9,20 @@ record per monomial in sorted order.  Exit codes:
 errors, invalid input and an unwritable ``--out``.  Randomized subcommands
 draw from ``--seed`` alone (default 0), so the same arguments print the same
 bytes.
+
+The canonical spelling ``command --flag value ...`` is parsed straight from
+the command table; any other argv (help, an abbreviated or repeated flag,
+``--flag=value``, a value starting with "-", a usage error) goes through
+argparse, which is imported only then and prints its own messages.
 """
 
 from __future__ import annotations
 
-import argparse
 import json.encoder
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .conj_invariants import theta_rank
 from .delta_calculus import canonical_delta, delta_bracket
@@ -359,14 +364,52 @@ _COMMANDS = {
 }
 
 
-def _build_parser(names=_COMMANDS) -> argparse.ArgumentParser:
+def _parse_plain(argv):
+    """The namespace ``_build_parser().parse_args(argv)`` returns, when argv
+    is ``command --flag value ...`` with every flag of the command spelled
+    in full, none twice and no value starting with "-"; ``None`` for any
+    other argv, and for a value its flag's ``type`` or ``choices`` reject or
+    a required flag left out, so that argparse decides and words the error.
+    """
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    handler, flags = _COMMANDS[argv[0]]
+    flags = {"out": {}, **flags}
+    values = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        name = flag[2:]
+        if flag[:2] != "--" or name not in flags or name in values \
+                or text[:1] == "-":
+            return None
+        spec = flags[name]
+        try:
+            value = spec.get("type", str)(text)
+        except (ValueError, TypeError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[name] = value
+    for name, spec in flags.items():
+        if name not in values:
+            if spec.get("required"):
+                return None
+            values[name] = spec.get("default")
+    return SimpleNamespace(command=argv[0], handler=handler, **values)
+
+
+def _build_parser(names=_COMMANDS):
     """The parser for the subcommands ``names``.
 
     A parser for some of the subcommands still names all of them in its
     usage line, so its errors read as the full parser's do.  The full
     parser keeps argparse's own metavar, which its "required" and
     "invalid choice" errors depend on."""
-    parser = argparse.ArgumentParser(prog="delta-inv", description=__doc__)
+    import argparse
+
+    # the help describes the commands: the docstring's last paragraph, on
+    # how argv is parsed, is left out
+    parser = argparse.ArgumentParser(
+        prog="delta-inv", description=__doc__.rsplit("\n\n", 1)[0])
     metavar = None if len(names) == len(_COMMANDS) \
         else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True,
@@ -384,14 +427,15 @@ def _build_parser(names=_COMMANDS) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # Only the named subcommand's parser is built; help, a missing or
-    # unknown command and a leading option go through the full parser.
-    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    parser = _build_parser(names)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _parse_plain(argv)
+    if args is None:
+        # Only the named subcommand's parser is built; help, a missing or
+        # unknown command and a leading option go through the full parser.
+        names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+        try:
+            args = _build_parser(names).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         doc = args.handler(args)
         text = _document(doc)

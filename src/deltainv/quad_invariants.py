@@ -49,7 +49,7 @@ THETA_BUDGET = 10 ** 6
 DIMS_BUDGET = 2 * 10 ** 8
 # weight counts of one Hilbert series: 7-10 s at the budget when r = 4
 HILBERT_BUDGET = 2 * 10 ** 6
-# b0 trials, times the bit length of q at g = 3: 1.5-5.5 s at the budget
+# b0 trials, times the bit length of q at g = 3: 0.7-2.4 s at the budget
 B0_BUDGET = 2 * 10 ** 6
 
 
@@ -471,16 +471,16 @@ def _chi(a: int, q: int) -> int:
     return -1 if t == q - 1 else t
 
 
-def _sqrt_mod(a: int, q: int) -> int:
-    """A square root of the square a mod the odd prime q (Tonelli-Shanks);
-    a may be 0, whose root is 0."""
+def _sqrt_mod(a: int, q: int, c) -> int:
+    """A square root of the square a mod the odd prime q; a may be 0, whose
+    root is 0.  When q = 3 (mod 4) it is a^((q+1)/4); otherwise it is found
+    by Tonelli-Shanks from c = `_two_power_unit(q)`."""
+    if q % 4 == 3:
+        return pow(a, (q + 1) // 4, q)
     s, m = 0, q - 1
     while m % 2 == 0:
         s, m = s + 1, m // 2
-    z = 2
-    while _chi(z, q) != -1:
-        z += 1
-    c, x, t = pow(z, m, q), pow(a, (m + 1) // 2, q), pow(a, m, q)
+    x, t = pow(a, (m + 1) // 2, q), pow(a, m, q)
     while t not in (0, 1):
         i, t2 = 0, t
         while t2 != 1:
@@ -490,13 +490,28 @@ def _sqrt_mod(a: int, q: int) -> int:
     return x
 
 
-def _count_g3(q, alpha, beta, gamma, nu):
+def _two_power_unit(q: int):
+    """z^m for the least quadratic non-residue z mod the odd prime q, with
+    q - 1 = 2^s m and m odd: the element of order 2^s that Tonelli-Shanks
+    starts from.  ``None`` when q = 3 (mod 4), whose square roots need none."""
+    if q % 4 == 3:
+        return None
+    m = q - 1
+    while m % 2 == 0:
+        m //= 2
+    z = 2
+    while _chi(z, q) != -1:
+        z += 1
+    return pow(z, m, q)
+
+
+def _count_g3(q, alpha, beta, gamma, nu, unit):
     """Solutions (x, y, z) in F_q^3 of x^2 + y^2 + z^2 = R1, y^2 + nu z^2 = R2
     and x y z - z^2 = R3, from the roots of the cubic resolvent in w = z^2.
 
     The drawn point (alpha, beta, gamma) lies on the fibre, so w0 = gamma^2
     is a root, and the other two are those of the quadratic left after
-    dividing by w - w0."""
+    dividing by w - w0; ``unit`` is `_two_power_unit(q)`."""
     r1 = (alpha * alpha + beta * beta + gamma * gamma) % q
     r2 = (beta * beta + nu * gamma * gamma) % q
     r3 = (alpha * beta * gamma - gamma * gamma) % q
@@ -511,12 +526,14 @@ def _count_g3(q, alpha, beta, gamma, nu):
     a = -x1 * y1 % q
     b = (1 - x0 * y1 - x1 * y0 + a * w0) % q
     c = (2 * r3 - x0 * y0 + b * w0) % q
-    roots = {w0}
     disc = (b * b - 4 * a * c) % q
-    if _chi(disc, q) != -1:
-        s, inv = _sqrt_mod(disc, q), pow(2 * a, -1, q)
-        roots.update(((-b + s) * inv % q, (-b - s) * inv % q))
-    for w in roots:
+    # w0 is a nonzero square, X(w0) = alpha^2 != 0 and w0 + R3 != 0: the
+    # points z = +-gamma, x = +-alpha, y = (w0 + R3)/(x z)
+    count += 4
+    if _chi(disc, q) == -1:
+        return count
+    s, inv = _sqrt_mod(disc, q, unit), pow(2 * a, -1, q)
+    for w in {(-b + s) * inv % q, (-b - s) * inv % q} - {w0}:
         # a root w gives z only when it is a nonzero square, and then two
         if _chi(w, q) != 1:
             continue
@@ -539,9 +556,11 @@ def b0_count(g: int, q: int, trials: int = 100, seed=None):
     At g = 2 a fibre is x^2 = d, counted by `_count_g2`.  At g = 3 it is
     the system solved by `_count_g3`: with w = z^2, the points with z = 0
     exist only when R3 = 0, and the others lie over the roots w of a cubic
-    resolvent f that are nonzero squares.  The drawn z^2 is one root, and
-    the quadratic left after dividing it out has the others, so a trial
-    costs a few Legendre symbols and one square root mod q.  A count is at
+    resolvent f that are nonzero squares.  The drawn z^2 is one root, with
+    4 points always, and the quadratic left after dividing it out has the
+    others, so a trial costs a few Legendre symbols and at most one square
+    root mod q; the non-residue power that Tonelli-Shanks needs when
+    q = 1 (mod 4) is found once per run.  A count is at
     most 3 roots x 2 square roots z x 2 sign choices of x = 12.  A run over
     ``B0_BUDGET`` trial bits is refused first.
     """
@@ -557,8 +576,9 @@ def b0_count(g: int, q: int, trials: int = 100, seed=None):
     if g == 2:
         counts = [_count_g2(q, rng.randrange(q)) for _ in range(trials)]
     else:
+        unit = _two_power_unit(q)
         # nu = 0 or 1 would leave no cubic resolvent
         counts = [_count_g3(q, rng.randrange(1, q), rng.randrange(1, q),
-                            rng.randrange(1, q), rng.randrange(2, q))
+                            rng.randrange(1, q), rng.randrange(2, q), unit)
                   for _ in range(trials)]
     return {"max_count": max(counts), "counts": counts}

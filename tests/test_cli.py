@@ -1,5 +1,7 @@
 """Tests for the batch command-line front end."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -406,6 +408,140 @@ def test_one_command_parser_matches_full_parser(capsys, name):
         assert one == full, argv
     assert _parse(cli._build_parser([name]), grid[0], capsys)[0].command \
         == name
+
+
+def _argparse_vars(argv):
+    """``vars`` of the full parser's namespace for argv, or ``None`` when it
+    exits; what it prints is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _plain_matches_argparse(argv):
+    """``cli._parse_plain(argv)``, after checking that it is ``None`` or
+    the namespace argparse gives."""
+    plain = cli._parse_plain(argv)
+    if plain is not None:
+        assert vars(plain) == _argparse_vars(argv), argv
+    return plain
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_plain_parse_matches_argparse_on_the_parser_grid(name):
+    grid = _parser_grid(name)
+    for argv in grid:
+        _plain_matches_argparse(argv)
+    # the required flags alone, and with --out
+    assert cli._parse_plain(grid[0]) is not None
+    assert cli._parse_plain(grid[1]) is not None
+
+
+_ODD_VALUES = ["-", "-1", "-1,2", "", " -1", " 3", "1_0", "x", "1/2",
+               "no-such-choice", "--", "-h"]
+
+
+def _flag_tokens(name):
+    flags = [*cli._COMMANDS[name][1], "out"]
+    return (st.sampled_from([f"--{flag}" for flag in flags])
+            | st.sampled_from([f"--{flag[:4]}" for flag in flags
+                               if len(flag) > 4] or ["--bogus"])
+            | st.sampled_from([f"--{flag}=2" for flag in flags])
+            | st.sampled_from(["-h", "--", "--help", "--bogus", "2"]))
+
+
+def _value_tokens(name):
+    flags = cli._COMMANDS[name][1]
+    choices = [c for spec in flags.values() for c in spec.get("choices", ())]
+    return st.sampled_from(["2", "1,1", "0,1,2,3", *choices, *_ODD_VALUES])
+
+
+@st.composite
+def _argvs(draw):
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    pairs = draw(st.lists(st.tuples(_flag_tokens(name), _value_tokens(name)),
+                          max_size=6))
+    argv = [name] + [token for pair in pairs for token in pair]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(_flag_tokens(name) | _value_tokens(name)))
+    return argv
+
+
+@given(_argvs())
+@example(["dims", "--g", " 3", "--r", "1_0", "--s", "2"])
+@example(["dims", "--g", "2", "--r", "2", "--s", "2", "--g", "3"])
+@example(["dims", "--g", "-1", "--r", "2", "--s", "2"])
+@example(["theta", "--g", "3", "--mult", "2,1"])
+@example(["hilbert", "--variant", "no-such-choice"])
+@example(["relations", "--indices", "1,2"])
+@example(["b0", "--g", "3", "--q", "101", "--out", ""])
+@example(["theta", "--g", "2", "--multidegree", "-1,2"])
+@example(["dims", "--g", "2", "--r", "2", "--s", "-h"])
+def test_plain_parse_matches_argparse_on_drawn_argv(argv):
+    _plain_matches_argparse(argv)
+
+
+_CANONICAL = ["dims", "--g", "2", "--r", "2", "--s", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nope", "--g", "2"], _CANONICAL[:-1], _CANONICAL + ["-h"],
+    ["dims", "--g=2", "--r", "2", "--s", "2"],
+    ["dims", "--g", "2", "--r", "2", "--s", "2", "--g", "2"],
+    ["dims", "--g", "2", "--r", "2", "--s", "-1"],
+    ["dims", "--g", "2", "--r", "2", "--s", "-"],
+    ["dims", "--g", "2", "--r", "2", "--", "2"],
+    ["dims", "--g", "2", "--r", "2", "-s", "2"],
+    ["dims", "--g", "x", "--r", "2", "--s", "2"],
+    ["dims", "--g", "2", "--r", "2"],
+    ["hilbert", "--vari", "even"],
+    ["hilbert", "--variant", "odd"],
+    ["theta", "--g", "2", "--multidegree", "-1,2"],
+])
+def test_plain_parse_leaves_other_spellings_to_argparse(argv):
+    assert cli._parse_plain(argv) is None
+
+
+def test_plain_parse_converts_with_the_flag_type():
+    args = cli._parse_plain(["dims", "--g", " 2", "--r", "1_0", "--s", "1/2",
+                             "--out", "x.json"])
+    assert (args.g, args.r, args.s, args.out) == (2, 10, "1/2", "x.json")
+
+
+def test_golden_argv_take_the_plain_parse():
+    golden = json.loads((README.parent / "perfbench" / "golden.json")
+                        .read_text())
+    for item in golden:
+        assert _plain_matches_argparse(item.split()) is not None, item
+
+
+_STARTUP = """
+import contextlib, io, sys
+from deltainv.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["dims", "--g", "2", "--r", "2", "--s", "2"])
+print(code, out.getvalue().count("21"), "argparse" in sys.modules)
+"""
+
+
+def test_canonical_argv_never_imports_argparse(capsys, monkeypatch):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _STARTUP], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["0", "1", "False"]
+    # help still comes from argparse
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["dims", "-h"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "usage: delta-inv dims [-h] [--out OUT] --g G --r R --s S"
+    assert lines[-4:] == ["  --out OUT", "  --g G", "  --r R", "  --s S"]
 
 
 @pytest.mark.parametrize("argv,code,message", [

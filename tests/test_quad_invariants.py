@@ -38,6 +38,7 @@ from deltainv.quad_invariants import (
     _count_g2,
     _count_g3,
     _sqrt_mod,
+    _two_power_unit,
     b0_count,
     binary_discriminant,
     congruence_act,
@@ -186,6 +187,52 @@ def test_dimension_g2_matches_hilbert_series():
         coefficients = _even_closed_form(r, 7)
         for s in range(7):
             assert invariant_dimension(2, r, s) == coefficients[s]
+
+
+def _partitions(n, parts, largest=None):
+    """The partitions of n into at most ``parts`` parts, largest first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        if parts > 1 or first == n:
+            for rest in _partitions(n - first, parts - 1, first):
+                yield (first,) + rest
+
+
+def _schur_dimension(lam, n):
+    """dim S_lam(C^n) by the hook-content formula."""
+    column = [sum(part > j for part in lam) for j in range(lam[0] if lam else 0)]
+    num = den = 1
+    for i, part in enumerate(lam):
+        for j in range(part):
+            num *= n + j - i
+            den *= part - j + column[j] - i - 1
+    return num // den
+
+
+def _howe_dimension(r, degree):
+    """The SO_3-invariants of degree ``degree`` on r + 1 vectors of C^3,
+    which is SL_2 on r + 1 binary quadratic forms.  By Howe duality for
+    (GL_(r+1), O_3) they are the S_lam(C^(r+1)) with lam of at most 3 parts
+    all even (the O_3-invariants) or of exactly 3 parts all odd (det times
+    an O_3-invariant)."""
+    return sum(_schur_dimension(lam, r + 1)
+               for lam in _partitions(degree, 3)
+               if all(part % 2 == 0 for part in lam)
+               or (len(lam) == 3 and all(part % 2 for part in lam)))
+
+
+def test_dimension_g2_matches_howe_duality():
+    # shares no code with the Weyl sum; half-integer s has odd degree 2s
+    for r in range(7):
+        for degree in range(24):
+            assert invariant_dimension(2, r, Fraction(degree, 2)) \
+                == _howe_dimension(r, degree), (r, degree)
+    for r in (100, 10 ** 6, 10 ** 18):
+        for degree in range(50):
+            assert invariant_dimension(2, r, Fraction(degree, 2)) \
+                == _howe_dimension(r, degree), (r, degree)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
@@ -825,26 +872,37 @@ def _count_g3_loop(q, alpha, beta, gamma, nu):
 def test_b0_g3_resolvent_matches_loop_on_every_draw(q):
     for abc in itertools.product(range(1, q), repeat=3):
         for nu in range(2, q):
-            got = _count_g3(q, *abc, nu)
+            got = _count_g3(q, *abc, nu, _two_power_unit(q))
             assert got == _count_g3_loop(q, *abc, nu) and got <= 12
 
 
-@pytest.mark.parametrize("q", [3, 5, 13, 17, 257])
+@pytest.mark.parametrize("q", [3, 7, 11, 43, 5, 13, 17, 257])
 def test_sqrt_mod_of_every_square(q):
-    # q - 1 = 2^s m with s = 1, 2, 2, 4, 8: Tonelli-Shanks loops up to s times
+    # q = 3 (mod 4) takes a^((q+1)/4); for q = 1 (mod 4), q - 1 = 2^s m with
+    # s = 2, 2, 4, 8, and Tonelli-Shanks loops up to s times
+    unit = _two_power_unit(q)
+    assert (unit is None) == (q % 4 == 3)
     for a in _square_roots(q):
-        assert _sqrt_mod(a, q) ** 2 % q == a
+        assert _sqrt_mod(a, q, unit) ** 2 % q == a
 
 
-# q = 257 = 2^8 + 1 takes the deepest Tonelli-Shanks loop the scan can check
-@pytest.mark.parametrize("q", [13, 101, 257, 1009])
+@pytest.mark.parametrize("q", [5, 13, 17, 257, 1009])
+def test_two_power_unit_has_order_two_to_the_s(q):
+    s = ((q - 1) & -(q - 1)).bit_length() - 1
+    unit = _two_power_unit(q)
+    assert pow(unit, 1 << s, q) == 1 and pow(unit, 1 << (s - 1), q) == q - 1
+
+
+# q = 257 = 2^8 + 1 takes the deepest Tonelli-Shanks loop the scan can
+# check, and q = 1019 = 3 (mod 4) the one-power square root
+@pytest.mark.parametrize("q", [13, 101, 257, 1009, 1019])
 def test_b0_g3_resolvent_matches_loop_on_random_draws(q):
     rng = random.Random(q)
     seen = set()
     for _ in range(500):
         draw = (rng.randrange(1, q), rng.randrange(1, q), rng.randrange(1, q),
                 rng.randrange(2, q))
-        got = _count_g3(q, *draw)
+        got = _count_g3(q, *draw, _two_power_unit(q))
         assert got == _count_g3_loop(q, *draw) and got <= 12
         seen.add(got)
     assert max(seen) == 12
@@ -887,6 +945,18 @@ def test_b0_g3_large_field():
         assert all(4 <= c <= 12 for c in out["counts"])
 
 
+def test_b0_g3_count_law_at_a_large_field():
+    # Measured, not proved: the drawn root always gives 4 points; the
+    # quadratic cofactor splits about half the time, and each of its roots
+    # adds 4 points about a quarter of the time, so 4, 8 and 12 come with
+    # probabilities near 25/32, 6/32 and 1/32, and the mean is near 5.
+    counts = b0_count(3, 10 ** 9 + 7, trials=20000, seed=0)["counts"]
+    assert set(counts) <= {4, 8, 12}
+    assert abs(sum(counts) / len(counts) - 5) <= 0.1
+    for value, share in ((4, 25 / 32), (8, 6 / 32), (12, 1 / 32)):
+        assert abs(counts.count(value) / len(counts) - share) <= 0.02
+
+
 def test_b0_g3_matches_exhaustive_oracle():
     q = 11
     rng = random.Random(5)
@@ -900,7 +970,8 @@ def test_b0_g3_matches_exhaustive_oracle():
                      if (X ** 2 + Y ** 2 + Z ** 2) % q == rhs1
                      and (Y ** 2 + nu * Z ** 2) % q == rhs2
                      and (X * Y * Z - Z ** 2) % q == rhs3)
-        assert _count_g3(q, alpha, beta, gamma, nu) == expect
+        assert _count_g3(q, alpha, beta, gamma, nu,
+                         _two_power_unit(q)) == expect
 
 
 # ---------------------------------------------------------------- discriminants
