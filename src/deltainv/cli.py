@@ -128,6 +128,15 @@ def _write(value, nl, out):
                         "is not JSON serializable")
 
 
+def _sorted_keys(terms, pairs) -> list:
+    """``sorted(terms)``, for monomial keys made of the (variable, exponent)
+    pairs ``pairs``.  Each pair is one character, its rank among the sorted
+    pairs, so a key's string compares as the key does, a prefix first, and
+    no ``VarId`` is compared while sorting."""
+    rank = {ve: chr(r) for r, ve in enumerate(sorted(pairs))}.__getitem__
+    return sorted(terms, key=lambda key: "".join(map(rank, key)))
+
+
 def _write_poly(poly, nl, out):
     """The terms of ``poly`` as records, the line of each (variable,
     exponent) pair built once."""
@@ -146,7 +155,7 @@ def _write_poly(poly, nl, out):
     coefficient = field + '"coefficient": '
     close = record + "}"
     sep = "[" + record + "{"
-    for key in sorted(terms):
+    for key in _sorted_keys(terms, pairs):
         out.append(sep + "".join(map(piece, key))
                    + coefficient + _quote(str(terms[key])) + close)
         sep = "," + record + "{"

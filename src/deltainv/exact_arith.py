@@ -152,9 +152,10 @@ def rational_reduce(value, p: int, N: int) -> TruncatedPadic:
     and ``ValueError`` if N is below 1 or the value is not rational.
     """
     require_at_least(N, 1, "precision")
-    if not isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
+        return TruncatedPadic(p, N, value)
+    if not isinstance(value, Fraction):
         raise ValueError(f"only an integer or Fraction reduces, got {value!r}")
-    value = Fraction(value)
     if value.denominator % p == 0:
         raise NegativeValuation(
             f"{value} has {p} in its denominator")

@@ -12,18 +12,32 @@ The lift is a ring endomorphism, so every twisted series is a difference of
 Frobenius lifts of one logarithm ``L = log(1 + T^(0)_11)``: twist level a is
 ``(phi^a(L) - p phi^(a-1)(L)) / p``, and the full forms ``f_r``/``f_bracket``,
 ``sum_(i < a) p^i`` times level ``a - i``, telescope to
-``(phi^a(L) - p^a L) / p``.  A call builds one tower ``L, phi(L), ...`` up
-to the highest lift it needs, each entry one lift of the last, and reads
-every level's series off it.
+``(phi^a(L) - p^a L) / p``.  A call builds one tower up to the highest lift
+it needs, each entry one lift of the last, and reads every level's series
+off it.
+
+The tower holds ``M L`` with ``M = lcm(1, ..., D)``, not ``L``: ``M L`` has
+integer coefficients, and phi keeps them integer.  Every series read off it
+is a tower combination divided by ``p M`` (``t_k`` the k-th lift of ``M L``):
+level a is ``(t_a - p t_(a-1)) / (p M)`` and the full forms are
+``(t_a - p^a t_0) / (p M)``.  Each quotient is p-integral, so its numerator
+is divisible by ``p^e``, ``e = v_p(p M) = 1 + floor(log_p D)``, and the
+numerator modulo ``p^(N+e)`` fixes the series modulo ``p^N``.  phi is a ring
+endomorphism with integer images, so it maps congruent integer polynomials
+to congruent ones: the tower is reduced modulo ``p^(N+e)`` after every lift,
+and never holds a ``Fraction``.  ``spade`` reads the same tower unreduced
+and divides by M once, so its series stay exact.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .conj_invariants import y_invariant
 from .delta_calculus import frobenius_lift
-from .exact_arith import rational_reduce, require_at_least, require_prime
+from .exact_arith import (TruncatedPadic, rational_reduce, require_at_least,
+                          require_prime)
 from .multipoly import MultiPoly, VarId, homogeneous_component, substitute
 
 
@@ -39,50 +53,88 @@ def reduce_rational_poly(f: MultiPoly, p: int, N: int) -> MultiPoly:
 _ENTRY = VarId("T", 0, 1, 1)
 
 
-def _lifts(p: int, D: int, a: int) -> list:
-    """The tower ``[L, phi(L), ..., phi^a(L)]`` of Frobenius lifts of
-    ``L = log(1 + T^(0)_11)``, with exact rational coefficients, truncated
-    at degree D: each entry is one lift of the last."""
+def _lifts(p: int, D: int, a: int, N: int | None = None) -> list:
+    """The tower ``[M L, phi(M L), ..., phi^a(M L)]`` of Frobenius lifts of
+    ``M L``, ``L = log(1 + T^(0)_11)`` and ``M = lcm(1, ..., D)``, with
+    integer coefficients, truncated at degree D: each entry is one lift of
+    the last.  With N, every entry is reduced modulo ``p^(N+e)``, ``e =
+    v_p(p M)``, enough for :func:`_twist` to read each series modulo
+    ``p^N``; without N the tower is exact."""
     require_prime(p)
     require_at_least(D, 0, "D")
-    tower = [MultiPoly({((_ENTRY, n),): Fraction((-1) ** (n + 1), n)
-                        for n in range(1, D + 1)}, trunc=D)]
+    if N is not None:
+        require_at_least(N, 1, "precision")
+    M = math.lcm(*range(1, D + 1))
+    modulus = None if N is None else p ** (N + _unit_part(p * M, p)[1])
+
+    def reduced(f):
+        return f if modulus is None else f.map_coeffs(lambda c: c % modulus)
+
+    tower = [reduced(MultiPoly({((_ENTRY, n),): (-1) ** (n + 1) * (M // n)
+                                for n in range(1, D + 1)}, trunc=D))]
     for _ in range(a):
-        tower.append(frobenius_lift(tower[-1], p))
+        tower.append(reduced(frobenius_lift(tower[-1], p)))
     return tower
 
 
-def _twist(tower: list, a: int, p: int) -> MultiPoly:
+def _unit_part(n: int, p: int):
+    """``(u, e)`` with ``n = u p^e`` and u prime to p."""
+    e = 0
+    while n % p == 0:
+        n, e = n // p, e + 1
+    return n, e
+
+
+def _divide(num: MultiPoly, p: int, N: int | None) -> MultiPoly:
+    """``num / (p M)``, ``M = lcm(1, ..., D)`` at the bound D of ``num``, a
+    p-integral quotient of a tower combination: exact over Q without N,
+    else its ``TruncatedPadic`` residues modulo ``p^N``, read off ``num``
+    known modulo ``p^(N+e)``, ``p M = u p^e``, as ``(num / p^e) / u``."""
+    pM = p * math.lcm(*range(1, num.trunc + 1))
+    if N is None:
+        return num * Fraction(1, pM)
+    u, e = _unit_part(pM, p)
+    pe, inverse = p ** e, pow(u, -1, p ** N)
+    return num.map_coeffs(
+        lambda c: TruncatedPadic(p, N, c // pe * inverse))
+
+
+def _twist(tower: list, a: int, p: int, N: int | None = None) -> MultiPoly:
     """Twist level a, ``(1/p) log((1 + tau_a) / (1 + tau_(a-1))^p)``, read
-    off a tower of at least a + 1 lifts as ``(phi^a(L) - p phi^(a-1)(L)) /
-    p``: ``tau_k`` is the k-fold Frobenius lift of the entry variable
-    ``T^(0)_11``, and ``log(1 + tau_k) = phi^k(L)``.  :func:`_rename` moves
-    the series to any other entry."""
+    off a tower of at least a + 1 lifts as ``(t_a - p t_(a-1)) / (p M)``:
+    ``tau_k`` is the k-fold Frobenius lift of the entry variable
+    ``T^(0)_11``, and ``t_k = phi^k(M L) = M log(1 + tau_k)``.  Exact over Q
+    from an exact tower; modulo ``p^N`` from a tower built with the same N.
+    :func:`_rename` moves the series to any other entry."""
     require_at_least(a, 1, "twist level")
-    return (tower[a] - tower[a - 1] * p) * Fraction(1, p)
+    return _divide(tower[a] - tower[a - 1] * p, p, N)
 
 
 def _rename(f: MultiPoly, i: int, j: int) -> MultiPoly:
     """f with every ``T^(l)_11`` renamed to the entry (i, j) of level l.
 
-    Only the indices change, so every key stays sorted.
+    Only the indices change, so every key stays sorted, within the bound
+    and distinct.
     """
     i, j = min(i, j), max(i, j)
-    return MultiPoly({tuple((VarId("T", v.level, i, j), e) for v, e in key): c
-                      for key, c in f.terms.items()}, trunc=f.trunc)
+    return MultiPoly._wrap(
+        {tuple((VarId("T", v.level, i, j), e) for v, e in key): c
+         for key, c in f.terms.items()}, f.trunc)
 
 
-def _entrywise(f: MultiPoly, g: int, p: int, N: int):
-    """The g x g matrix (a list of rows) carrying f, reduced mod p^N once,
-    in each entry's variables."""
-    f = reduce_rational_poly(f, p, N)
-    return [[_rename(f, i, j) for j in range(1, g + 1)]
-            for i in range(1, g + 1)]
+def _entrywise(f: MultiPoly, g: int):
+    """The g x g matrix (a list of rows) carrying f in each entry's
+    variables; entries (i, j) and (j, i) share one polynomial."""
+    rows = [[None] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i, g):
+            rows[i][j] = rows[j][i] = _rename(f, i + 1, j + 1)
+    return rows
 
 
 def psi_phi_direct(a: int, g: int, p: int, N: int, D: int):
     """The (a-1)-fold twisted series, built directly from Frobenius iterates."""
-    return _entrywise(_twist(_lifts(p, D, a), a, p), g, p, N)
+    return _entrywise(_twist(_lifts(p, D, a, N), a, p, N), g)
 
 
 def phi_twist(S, p: int):
@@ -109,9 +161,9 @@ def expansion_basic(kind: str, index: int, g: int, p: int, N: int, D: int):
     if kind == "f_angle":
         return psi_phi_direct(index, g, p, N, D)
     # sum_(i < index) p^i psi_(index - i), telescoped
-    tower = _lifts(p, D, index)
-    return _entrywise((tower[index] - tower[0] * p ** index) * Fraction(1, p),
-                      g, p, N)
+    tower = _lifts(p, D, index, N)
+    return _entrywise(
+        _divide(tower[index] - tower[0] * p ** index, p, N), g)
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +188,20 @@ def diamond_realize(F: MultiPoly, r: int, g: int, p: int, N: int,
         if not (1 <= v.i <= g and 1 <= v.j <= g):
             raise ValueError(f"entry ({v.i}, {v.j}) is outside g = {g}")
     levels = {v.level for v in F.variables()}
-    tower = _lifts(p, D, max(levels, default=-1) + 1)
-    series = {level: reduce_rational_poly(_twist(tower, level + 1, p), p, N)
-              for level in levels}
+    tower = _lifts(p, D, max(levels, default=-1) + 1, N)
+    series = {level: _twist(tower, level + 1, p, N) for level in levels}
     return substitute(reduce_rational_poly(F, p, N),
                       _slot_images(F, series), D)
 
 
 def spade(F: MultiPoly, D: int, p: int = 3) -> MultiPoly:
     """Slot 0 becomes the entrywise logarithm; slot k >= 1 the rational
-    (k-1)-fold twisted series, every level read off one tower of lifts."""
+    (k-1)-fold twisted series, every level read off one exact tower of
+    lifts and divided by M (or p M) once."""
     levels = {v.level for v in F.variables()}
     tower = _lifts(p, D, max(levels, default=0))
-    series = {level: _twist(tower, level, p) if level else tower[0]
+    series = {level: _twist(tower, level, p) if level
+              else tower[0] * Fraction(1, math.lcm(*range(1, D + 1)))
               for level in levels}
     return substitute(F.map_coeffs(Fraction), _slot_images(F, series), D)
 

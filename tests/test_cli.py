@@ -316,8 +316,12 @@ def test_usage_error_exit_code(capsys):
     "theta --g 2 --multidegree 3,-1",
     "diamond --multidegree 3,-1",
     "expand --kind f_angle --prec -1",
+    "expand --kind f_angle --prec 0",
+    "expand --kind f_r --index 3 --prec 0",
     "diamond --prec -1",
+    "diamond --prec 0",
     "verify --suite expansions --prec -1",
+    "verify --suite expansions --prec 0",
     "verify --suite expansions --deg 0",
     "hilbert --terms -2",
     "hilbert --r -1",
@@ -360,6 +364,18 @@ def test_invalid_input_is_a_usage_error(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("verify --suite expansions --prec -1",
+     "precision must be at least 1, got -1"),
+    ("expand --kind f_angle --prec 0", "N must be at least 1, got 0"),
+    ("diamond --prec 0", "N must be at least 1, got 0"),
+])
+def test_precision_below_one_names_the_flag_value(capsys, argv, message):
+    # the precision is checked before the tower of lifts is built
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _flag_value(spec):
@@ -685,6 +701,38 @@ def test_variables_with_one_name_are_refused():
     assert var_name(VarId("a1", 2, 0, 0)) == var_name(VarId("a", 12, 0, 0))
     with pytest.raises(ValueError, match="share a name"):
         _document({"polynomial": f})
+
+
+_KEY_VARS = sorted(VarId(f, level, i, j) for f in ("Q", "T", "u")
+                   for level in range(3) for i in (1, 2) for j in (0, 2))
+
+
+@st.composite
+def _monomial_keys(draw):
+    """Sorted (variable, exponent) keys over a few variables, with some
+    prefixes of drawn keys and some keys that differ only in an exponent."""
+    keys = set()
+    for _ in range(draw(st.integers(1, 12))):
+        vs = draw(st.lists(st.sampled_from(_KEY_VARS), max_size=5,
+                           unique=True))
+        key = tuple((v, draw(st.integers(1, 3))) for v in sorted(vs))
+        keys.add(key)
+        keys.add(key[:draw(st.integers(0, len(key)))])
+        if key:
+            at = draw(st.integers(0, len(key) - 1))
+            v, e = key[at]
+            keys.add(key[:at] + ((v, e + draw(st.integers(1, 2))),)
+                     + key[at + 1:])
+    return keys
+
+
+@given(_monomial_keys())
+@example({(), ((VarId("T", 0, 1, 1), 1),), ((VarId("T", 0, 1, 1), 2),),
+          ((VarId("T", 0, 1, 1), 1), (VarId("T", 1, 1, 1), 1))})
+def test_term_order_is_the_order_of_the_keys(keys):
+    terms = dict.fromkeys(keys, 1)
+    pairs = {ve for key in keys for ve in key}
+    assert cli._sorted_keys(terms, pairs) == sorted(terms)
 
 
 def _readme_commands():

@@ -6,7 +6,7 @@ partial sums, independent route comparisons, and rational-side substitution.
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -109,8 +109,12 @@ def _log1p(x, D):
 
 @pytest.mark.parametrize("D", range(7))
 def test_log_entry_is_the_logarithm_of_the_entry(D):
+    # the tower starts at M L, M = lcm(1..D), with integer coefficients
     got = _lifts(2, D, 0)[0]
-    assert got.terms == _log1p(MultiPoly.var(_ENTRY).truncate(D), D).terms
+    M = lcm(*range(1, D + 1))
+    assert all(type(c) is int for c in got.terms.values())
+    assert got.terms == (
+        _log1p(MultiPoly.var(_ENTRY).truncate(D), D) * M).terms
     assert got.trunc == D
 
 
@@ -138,9 +142,16 @@ def _log_series_binomial_reference(a, p, D):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("a", [1, 2, 3, 4])
 def test_log_series_matches_binomial_reference(a, p, D):
+    want = _log_series_binomial_reference(a, p, D)
     got = _twist(_lifts(p, D, a), a, p)
-    assert got.terms == _log_series_binomial_reference(a, p, D).terms
+    assert got.terms == want.terms
+    assert all(type(c) is Fraction for c in got.terms.values())
     assert got.trunc == D
+    # the tower reduced mod p^(N+e) gives the reference's residues mod p^N
+    for N in (1, 3):
+        got = _twist(_lifts(p, D, a, N), a, p, N)
+        assert got.terms == reduce_rational_poly(want, p, N).terms
+        assert got.trunc == D
 
 
 _X_VARS = [VarId("T", 0, 1, 1), VarId("T", 0, 1, 2), VarId("T", 1, 2, 2)]
@@ -349,13 +360,12 @@ def test_one_tower_of_lifts_per_call(monkeypatch, p, D):
         lifts.append(q)
         return frobenius_lift(F, q)
 
-    def twist(a):
-        return _twist(_lifts(p, D, a), a, p)
+    def twist(a, N=None):
+        return _twist(_lifts(p, D, a, N), a, p, N)
 
     def per_level_diamond(F):
         return _per_level(reduce_rational_poly(F, p, N),
-                          lambda l: reduce_rational_poly(twist(l + 1), p, N),
-                          D)
+                          lambda l: twist(l + 1, N), D)
 
     N = 3
     levels_0_2 = Tvar(0, 1, 1) * Tvar(2, 2, 2) - Tvar(0, 1, 2) * 3
@@ -369,7 +379,8 @@ def test_one_tower_of_lifts_per_call(monkeypatch, p, D):
         # spade on levels {0, 2}: 2 lifts
         (lambda: spade(levels_0_2, D, p), 2,
          lambda: _per_level(levels_0_2.map_coeffs(Fraction),
-                            lambda l: twist(l) if l else _lifts(p, D, 0)[0],
+                            lambda l: twist(l) if l else _lifts(p, D, 0)[0]
+                            * Fraction(1, lcm(*range(1, D + 1))),
                             D)),
     ]:
         lifts.clear()
@@ -412,6 +423,126 @@ def test_initial_form_identity():
     assert initial_form_identity_check(MultiPoly.constant(Fraction(3)), 4)
     T = Tvar(0, 1, 1)
     assert not initial_form_identity_check(T + T * T, 2)   # not homogeneous
+
+
+# ------------------------------------------- the integral tower, rational route
+
+def _rational_tower(p, D, a):
+    """``[L, phi(L), ..., phi^a(L)]`` over Q, L = log(1 + T^(0)_11)
+    truncated at degree D: the route that reduces mod p^N only at the end."""
+    tower = [MultiPoly({((_ENTRY, n),): Fraction((-1) ** (n + 1), n)
+                        for n in range(1, D + 1)}, trunc=D)]
+    for _ in range(a):
+        tower.append(frobenius_lift(tower[-1], p))
+    return tower
+
+
+def _same_series(got, want):
+    """Equal terms, coefficient types and bound."""
+    assert got.terms == want.terms
+    assert ({k: type(c) for k, c in got.terms.items()}
+            == {k: type(c) for k, c in want.terms.items()})
+    assert got.trunc == want.trunc
+
+
+# D runs across p^k - 1, p^k and p^k + 1, where e = v_p(p lcm(1..D)) steps
+_TOWER_GRID = [
+    (1, 2, 1, 0), (1, 2, 8, 30), (2, 2, 4, 10), (3, 2, 6, 16), (4, 2, 8, 16),
+    (4, 2, 3, 20), (1, 3, 5, 1), (2, 3, 6, 12), (3, 3, 8, 27), (4, 3, 8, 26),
+    (4, 3, 1, 9), (2, 3, 2, 30), (1, 5, 8, 30), (2, 5, 3, 25), (3, 5, 7, 24),
+    (4, 5, 5, 12), (1, 7, 2, 6), (2, 7, 8, 30), (3, 7, 4, 14), (4, 7, 6, 8),
+]
+
+
+@pytest.mark.parametrize("a,p,N,D", _TOWER_GRID)
+def test_integral_tower_matches_rational_route(a, p, N, D):
+    tower = _rational_tower(p, D, a)
+    for level in range(1, a + 1):
+        want = (tower[level] - tower[level - 1] * p) * Fraction(1, p)
+        _same_series(psi_phi_direct(level, 1, p, N, D)[0][0],
+                     reduce_rational_poly(want, p, N))
+    full = reduce_rational_poly(
+        (tower[a] - tower[0] * p ** a) * Fraction(1, p), p, N)
+    for kind in ("f_r", "f_bracket"):
+        _same_series(expansion_basic(kind, a, 1, p, N, D)[0][0], full)
+
+
+@pytest.mark.parametrize("a,p,N,D", [(a, p, N, min(D, 8))
+                                     for a, p, N, D in _TOWER_GRID])
+def test_suit_maps_match_rational_route(a, p, N, D):
+    # one slot on every level below a (diamond) and up to a (spade)
+    F = Tvar(0, 1, 2) * Tvar(a - 1, 2, 2) * 2 - Tvar(a - 1, 1, 1) + 1
+    tower = _rational_tower(p, D, a)
+    twist = {level: (tower[level] - tower[level - 1] * p) * Fraction(1, p)
+             for level in range(1, a + 1)}
+    _same_series(diamond_realize(F, a, 2, p, N, D),
+                 _per_level(reduce_rational_poly(F, p, N),
+                            lambda l: reduce_rational_poly(twist[l + 1], p, N),
+                            D))
+    G = F + Tvar(a, 1, 2) ** 2
+    _same_series(spade(G, D, p),
+                 _per_level(G.map_coeffs(Fraction),
+                            lambda l: twist[l] if l else tower[0], D))
+
+
+def test_reduced_path_builds_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the reduced path built a Fraction")
+
+    monkeypatch.setattr(serre_tate, "Fraction", refuse)
+    for a, p, N, D in _TOWER_GRID[:6]:
+        tower = _lifts(p, D, a, N)
+        assert all(type(c) is int for t in tower for c in t.terms.values())
+        psi_phi_direct(a, 2, p, N, D)
+        for kind in ("f_partial", "f_angle", "f_r", "f_bracket"):
+            expansion_basic(kind, a, 2, p, N, D)
+        diamond_realize(theta11(), 2, 2, p, N, min(D, 6))
+
+
+# ---------------------------------------------------------------- psi on G_m
+
+# psi is a homomorphism from G_m to G_a: with q = 1 + T and phi(q) = 1 + T^p
+# + p T', psi(q1 q2) = psi(q1) + psi(q2) and psi(q^n) = n psi(q).  These
+# substitute integer polynomials into psi_1 and share no code with the tower.
+_HOM_GRID = [(3, 3, 6, 2), (2, 4, 8, 3), (5, 3, 8, 2), (3, 5, 10, 7)]
+
+
+def _q_images(q, p, N):
+    """The images of ``(T, T')`` under ``1 + T -> q``, for an integer
+    polynomial q with constant term 1: ``q - 1`` and ``(q^phi - 1 - (q -
+    1)^p) / p``, where ``q^phi`` lifts every ``T^(0)`` in q to ``T^p + p
+    T'``, so that ``1 + T^p + p T' -> q^phi``; reduced mod p^N."""
+    lift = {}
+    for v in q.variables():
+        up = v._replace(level=1)
+        lift[v] = MultiPoly.var(v) ** p + MultiPoly.var(up) * p
+    num = substitute(q, lift) - 1 - (q - 1) ** p
+    assert all(c % p == 0 for c in num.terms.values())
+    return {VarId("T", 0, 1, 1): reduce_rational_poly(q - 1, p, N),
+            VarId("T", 1, 1, 1): reduce_rational_poly(
+                num.map_coeffs(lambda c: c // p), p, N)}
+
+
+def _hom_defects(psi, p, N, D, n):
+    """``psi(q1 q2) - psi(q1) - psi(q2)`` and ``psi(q^n) - n psi(q)``, with
+    q1 = 1 + T^(0)_11 and q2 = 1 + T^(0)_22."""
+    q1 = MultiPoly.constant(1) + Tvar(0, 1, 1)
+    q2 = MultiPoly.constant(1) + Tvar(0, 2, 2)
+    product = substitute(psi, _q_images(q1 * q2, p, N), D)
+    power = substitute(psi, _q_images(q1 ** n, p, N), D)
+    return product - psi - _rename(psi, 2, 2), power - psi * n
+
+
+@pytest.mark.parametrize("p,N,D,n", _HOM_GRID)
+def test_psi_is_a_homomorphism_from_gm(p, N, D, n):
+    psi = psi_phi_direct(1, 1, p, N, D)[0][0]
+    assert psi.trunc == D
+    additive, power = _hom_defects(psi, p, N, D, n)
+    assert not additive and not power
+    # a change of p^(N-1) T^3 breaks both identities
+    bent = psi + Tvar(0, 1, 1) ** 3 * TruncatedPadic(p, N, p ** (N - 1))
+    additive, power = _hom_defects(bent, p, N, D, n)
+    assert additive and power
 
 
 # ---------------------------------------------------------------- cyclic words
