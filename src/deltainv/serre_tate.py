@@ -53,7 +53,17 @@ def reduce_rational_poly(f: MultiPoly, p: int, N: int) -> MultiPoly:
 _ENTRY = VarId("T", 0, 1, 1)
 
 
-def _lifts(p: int, D: int, a: int, N: int | None = None) -> list:
+class _Tower(list):
+    """The Frobenius lifts ``[t_0, ..., t_a]`` of ``M L`` and, as ``M``, the
+    scale ``M = lcm(1, ..., D)`` they carry: every quotient read off the
+    tower divides by this M."""
+
+    def __init__(self, lifts, M: int):
+        super().__init__(lifts)
+        self.M = M
+
+
+def _lifts(p: int, D: int, a: int, N: int | None = None) -> _Tower:
     """The tower ``[M L, phi(M L), ..., phi^a(M L)]`` of Frobenius lifts of
     ``M L``, ``L = log(1 + T^(0)_11)`` and ``M = lcm(1, ..., D)``, with
     integer coefficients, truncated at degree D: each entry is one lift of
@@ -74,7 +84,7 @@ def _lifts(p: int, D: int, a: int, N: int | None = None) -> list:
                                 for n in range(1, D + 1)}, trunc=D))]
     for _ in range(a):
         tower.append(reduced(frobenius_lift(tower[-1], p)))
-    return tower
+    return _Tower(tower, M)
 
 
 def _unit_part(n: int, p: int):
@@ -85,21 +95,20 @@ def _unit_part(n: int, p: int):
     return n, e
 
 
-def _divide(num: MultiPoly, p: int, N: int | None) -> MultiPoly:
-    """``num / (p M)``, ``M = lcm(1, ..., D)`` at the bound D of ``num``, a
-    p-integral quotient of a tower combination: exact over Q without N,
-    else its ``TruncatedPadic`` residues modulo ``p^N``, read off ``num``
-    known modulo ``p^(N+e)``, ``p M = u p^e``, as ``(num / p^e) / u``."""
-    pM = p * math.lcm(*range(1, num.trunc + 1))
+def _divide(num: MultiPoly, M: int, p: int, N: int | None) -> MultiPoly:
+    """``num / (p M)``, a p-integral quotient of a combination of a tower of
+    scale M: exact over Q without N, else its ``TruncatedPadic`` residues
+    modulo ``p^N``, read off ``num`` known modulo ``p^(N+e)``, ``p M = u
+    p^e``, as ``(num / p^e) / u``."""
     if N is None:
-        return num * Fraction(1, pM)
-    u, e = _unit_part(pM, p)
+        return num * Fraction(1, p * M)
+    u, e = _unit_part(p * M, p)
     pe, inverse = p ** e, pow(u, -1, p ** N)
     return num.map_coeffs(
         lambda c: TruncatedPadic(p, N, c // pe * inverse))
 
 
-def _twist(tower: list, a: int, p: int, N: int | None = None) -> MultiPoly:
+def _twist(tower: _Tower, a: int, p: int, N: int | None = None) -> MultiPoly:
     """Twist level a, ``(1/p) log((1 + tau_a) / (1 + tau_(a-1))^p)``, read
     off a tower of at least a + 1 lifts as ``(t_a - p t_(a-1)) / (p M)``:
     ``tau_k`` is the k-fold Frobenius lift of the entry variable
@@ -107,29 +116,24 @@ def _twist(tower: list, a: int, p: int, N: int | None = None) -> MultiPoly:
     from an exact tower; modulo ``p^N`` from a tower built with the same N.
     :func:`_rename` moves the series to any other entry."""
     require_at_least(a, 1, "twist level")
-    return _divide(tower[a] - tower[a - 1] * p, p, N)
+    return _divide(tower[a] - tower[a - 1] * p, tower.M, p, N)
 
 
 def _rename(f: MultiPoly, i: int, j: int) -> MultiPoly:
     """f with every ``T^(l)_11`` renamed to the entry (i, j) of level l.
 
-    Only the indices change, so every key stays sorted, within the bound
-    and distinct.
+    Only the indices change, so every key stays sorted.
     """
     i, j = min(i, j), max(i, j)
-    return MultiPoly._wrap(
-        {tuple((VarId("T", v.level, i, j), e) for v, e in key): c
-         for key, c in f.terms.items()}, f.trunc)
+    return MultiPoly({tuple((VarId("T", v.level, i, j), e) for v, e in key): c
+                      for key, c in f.terms.items()}, trunc=f.trunc)
 
 
 def _entrywise(f: MultiPoly, g: int):
     """The g x g matrix (a list of rows) carrying f in each entry's
-    variables; entries (i, j) and (j, i) share one polynomial."""
-    rows = [[None] * g for _ in range(g)]
-    for i in range(g):
-        for j in range(i, g):
-            rows[i][j] = rows[j][i] = _rename(f, i + 1, j + 1)
-    return rows
+    variables."""
+    return [[_rename(f, i, j) for j in range(1, g + 1)]
+            for i in range(1, g + 1)]
 
 
 def psi_phi_direct(a: int, g: int, p: int, N: int, D: int):
@@ -163,7 +167,7 @@ def expansion_basic(kind: str, index: int, g: int, p: int, N: int, D: int):
     # sum_(i < index) p^i psi_(index - i), telescoped
     tower = _lifts(p, D, index, N)
     return _entrywise(
-        _divide(tower[index] - tower[0] * p ** index, p, N), g)
+        _divide(tower[index] - tower[0] * p ** index, tower.M, p, N), g)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +205,7 @@ def spade(F: MultiPoly, D: int, p: int = 3) -> MultiPoly:
     levels = {v.level for v in F.variables()}
     tower = _lifts(p, D, max(levels, default=0))
     series = {level: _twist(tower, level, p) if level
-              else tower[0] * Fraction(1, math.lcm(*range(1, D + 1)))
+              else tower[0] * Fraction(1, tower.M)
               for level in levels}
     return substitute(F.map_coeffs(Fraction), _slot_images(F, series), D)
 

@@ -360,12 +360,13 @@ def test_one_tower_of_lifts_per_call(monkeypatch, p, D):
         lifts.append(q)
         return frobenius_lift(F, q)
 
-    def twist(a, N=None):
-        return _twist(_lifts(p, D, a, N), a, p, N)
+    def twist(a):
+        return _twist(_lifts(p, D, a), a, p)
 
     def per_level_diamond(F):
         return _per_level(reduce_rational_poly(F, p, N),
-                          lambda l: twist(l + 1, N), D)
+                          lambda l: reduce_rational_poly(twist(l + 1), p, N),
+                          D)
 
     N = 3
     levels_0_2 = Tvar(0, 1, 1) * Tvar(2, 2, 2) - Tvar(0, 1, 2) * 3
